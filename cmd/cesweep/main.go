@@ -55,25 +55,9 @@
 //	                    vectors and times one representative per cluster
 //	-phases K           maximum behavior clusters for -sample=phase
 //
-// Host-performance flags for working on the simulator itself:
+// Profiling flags for working on the simulator itself (perfbench/run.sh
+// is the repo's repeated, oracle-checked performance measurement):
 //
-//	-bench-json FILE    benchmark the simulator on every verification-panel
-//	                    configuration and write BENCH_pipeline.json; if a
-//	                    sweep ran too, write its wall time, sims/sec and
-//	                    executed-versus-replayed balance to BENCH_sweep.json
-//	-stream-bench W     benchmark streamed capture + sampled simulation on
-//	                    huge workload W (e.g. compress.huge): capture the
-//	                    trace straight to -trace-dir, time it exactly once
-//	                    monolithically, then estimate with fixed, adaptive
-//	                    and phase sampling at an equal segment budget;
-//	                    wall time, peak RSS and IPC error per mode go to
-//	                    BENCH_sweep.json
-//	-stream-segments K  segment count for -stream-bench (default 64)
-//	-bench-compare F    compare this run's BENCH_sweep.json entries against
-//	                    the baseline at F and print per-entry deltas
-//	-bench-tolerance P  percent a gated ratio (segment/gang speedup, decode
-//	                    reduction) may fall below the baseline before the
-//	                    comparison exits nonzero; negative = warn only
 //	-cpuprofile FILE    write a CPU profile of the sweep
 //	-memprofile FILE    write a heap profile taken after the sweep
 package main
@@ -82,12 +66,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
-	"time"
 
 	"repro"
 	"repro/internal/canonjson"
@@ -117,12 +99,6 @@ var (
 	segPhases  = flag.Int("phases", 8, "maximum behavior clusters for -sample=phase")
 	noGang     = flag.Bool("no-gang", false, "disable gang replay: give every replay run a private streaming reader instead of shared decoded slabs")
 	slabMB     = flag.Int64("slab-budget-mb", 0, "bound the decoded-slab cache to this many MiB (0 = default 256); traces too big to fit stream instead")
-	benchJSON  = flag.String("bench-json", "", "benchmark the simulator per panel config and write results to this file")
-	benchWork  = flag.String("bench-workload", "compress", "workload for -bench-json")
-	benchCmp   = flag.String("bench-compare", "", "compare this invocation's BENCH_sweep.json against the baseline at this path and print per-entry deltas")
-	benchTol   = flag.Float64("bench-tolerance", 25, "percent a gated benchmark ratio may fall below the -bench-compare baseline before exiting nonzero; negative = warn only")
-	streamWork = flag.String("stream-bench", "", "benchmark streamed capture + sampled simulation on this (huge) workload and record it in BENCH_sweep.json")
-	streamSegs = flag.Int("stream-segments", 64, "segment count for -stream-bench (sampled modes simulate at most -phases of them)")
 	cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprof    = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 )
@@ -364,7 +340,6 @@ func run() (err error) {
 		}
 	}()
 	ran := false
-	sweepStart := time.Now()
 	// -json emits the canonical wire dump cesweepd serves for the same
 	// selection, sharing ce.FigureJSON/ce.FrontierJSON with the daemon so
 	// the two outputs are byte-identical (CI compares them).
@@ -483,119 +458,6 @@ func run() (err error) {
 		}
 		emit(tbl)
 	}
-	sweepRan, sweepWall := ran, time.Since(sweepStart).Seconds()
-	if *benchJSON != "" {
-		ran = true
-		res, err := ce.WriteBenchJSON(*benchJSON, *benchWork)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Simulator performance on %s (written to %s):\n", *benchWork, *benchJSON)
-		for _, r := range res {
-			fmt.Printf("  %-28s %9d cycles  %6.0f ms  %6.2f Mcycles/s  %.3f allocs/cycle\n",
-				r.Config, r.Cycles, r.WallSeconds*1000, r.MCyclesPerSec, r.AllocsPerCycle)
-		}
-	}
-	if (sweepRan && (*benchJSON != "" || *benchCmp != "")) || *streamWork != "" {
-		// Record whole-sweep performance next to the per-configuration
-		// benchmark: the sweep's own throughput (when one ran), the
-		// segment-parallel sampled benchmark on a workload long enough
-		// (millions of instructions) for segmentation to pay, the gang
-		// replay benchmark (shared slabs versus private readers), and the
-		// streaming benchmark on a huge workload when requested.
-		ran = true
-		sb := ce.SweepBench(ce.DefaultEngine, sweepWall)
-		if sweepRan {
-			seg, err := ce.SegmentBench("compress.big", 16, 4, 1<<15)
-			if err != nil {
-				return err
-			}
-			sb.Segment = seg
-			gang, err := ce.GangBench("compress.big")
-			if err != nil {
-				return err
-			}
-			sb.Gang = gang
-		}
-		if *streamWork != "" {
-			st, err := ce.StreamBench(*streamWork, *traceDir, *streamSegs, *segPhases)
-			if err != nil {
-				return err
-			}
-			sb.Stream = st
-		}
-		dir := "."
-		if *benchJSON != "" {
-			dir = filepath.Dir(*benchJSON)
-		}
-		path := filepath.Join(dir, "BENCH_sweep.json")
-		// Load the comparison baseline before writing: the baseline and the
-		// output are commonly the same committed file.
-		var baseline ce.SweepBenchResult
-		if *benchCmp != "" {
-			baseline, err = ce.ReadSweepBenchJSON(*benchCmp)
-			if err != nil {
-				return err
-			}
-		}
-		if err := ce.WriteSweepBenchJSON(path, sb); err != nil {
-			return err
-		}
-		if sweepRan {
-			fmt.Printf("Sweep performance (written to %s): %d sims in %.1f s (%.1f sims/s); %d steps executed, %d replayed\n",
-				path, sb.Sims, sb.WallSeconds, sb.SimsPerSec,
-				sb.Trace.StepsExecuted, sb.Trace.StepsReplayed)
-		}
-		if seg := sb.Segment; seg != nil {
-			simulated := (seg.Segments + seg.Sample - 1) / seg.Sample
-			fmt.Printf("Segment benchmark on %s (%d steps): monolithic %.2f s, sampled %d/%d segments %.2f s — %.1fx; IPC %.3f vs %.3f (%+.1f%%)\n",
-				seg.Workload, seg.Steps, seg.MonoWallSeconds, simulated, seg.Segments,
-				seg.SampledWallSeconds, seg.Speedup, seg.SampledIPC, seg.MonoIPC, seg.IPCErrorPct)
-		}
-		if g := sb.Gang; g != nil {
-			fmt.Printf("Gang benchmark on %s (%d configs, %d steps): per-config %.2f s, ganged %.2f s — %.2fx; records decoded %d → %d (%.1fx fewer, peak %.1f MB of slabs)\n",
-				g.Workload, g.Configs, g.Steps, g.PerConfigWallSeconds, g.GangWallSeconds, g.Speedup,
-				g.PerConfigRecordsDecoded, g.GangRecordsDecoded, g.DecodeReduction, float64(g.SlabPeakBytes)/1e6)
-		}
-		if st := sb.Stream; st != nil {
-			fmt.Printf("Stream benchmark on %s (written to %s): %d steps, %.1f MB trace on disk (%.1f MB resident), capture %.1f s (peak RSS %.0f MB)\n",
-				st.Workload, path, st.Steps, float64(st.TraceDiskBytes)/1e6, float64(st.TraceResidentBytes)/1e6,
-				st.CaptureSeconds, float64(st.CapturePeakRSS)/1e6)
-			fmt.Printf("  %-9s %10s %9s %9s %9s %9s\n", "mode", "insts", "wall s", "rss MB", "ipc", "err %")
-			fmt.Printf("  %-9s %10d %9.1f %9.0f %9.3f %9s\n",
-				"exact", st.Steps, st.ExactWallSeconds, float64(st.ExactPeakRSS)/1e6, st.ExactIPC, "—")
-			for _, m := range st.Modes {
-				fmt.Printf("  %-9s %10d %9.1f %9.0f %9.3f %+8.2f%%\n",
-					m.Mode, m.SimulatedSteps, m.WallSeconds, float64(m.PeakRSSBytes)/1e6, m.IPC, m.IPCErrorPct)
-			}
-		}
-		if *benchCmp != "" {
-			tol, gate := *benchTol, *benchTol >= 0
-			if !gate {
-				tol = -tol
-			}
-			deltas := ce.CompareSweepBench(baseline, sb, tol)
-			fmt.Printf("Benchmark comparison against %s (gated * entries may fall up to %.0f%%):\n", *benchCmp, tol)
-			regressed := false
-			for _, d := range deltas {
-				mark, status := " ", ""
-				if d.Gated {
-					mark = "*"
-				}
-				if d.Regressed {
-					status, regressed = "  REGRESSED", true
-				}
-				fmt.Printf("  %s %-28s %10.3f -> %10.3f  (%+.1f%%)%s\n",
-					mark, d.Name, d.Old, d.New, d.Pct(), status)
-			}
-			if regressed {
-				if gate {
-					return fmt.Errorf("benchmark regression: a gated ratio fell more than %.0f%% below %s", tol, *benchCmp)
-				}
-				fmt.Println("  (warn only: -bench-tolerance is negative)")
-			}
-		}
-	}
 	// An unrecognized figure number used to fall through to the
 	// misleading "nothing selected" error below; reject it by name. The
 	// check sits after the sweeps so that other selections on the same
@@ -607,7 +469,7 @@ func run() (err error) {
 	}
 	if !ran {
 		flag.Usage()
-		return fmt.Errorf("nothing selected: pass -fig N, -speedup, -tradeoff, -ablations, -micro, -bench-json, -stream-bench or -all")
+		return fmt.Errorf("nothing selected: pass -fig N, -speedup, -tradeoff, -ablations, -micro, -frontier, -profiles or -all")
 	}
 	return nil
 }

@@ -335,9 +335,8 @@ func init() {
 	})
 	// compress.huge is the streaming-scale phase workload: ~10^8 dynamic
 	// instructions of LZW over a multi-regime symbol stream generated on
-	// the fly. Huge keeps it out of every test matrix; the streaming
-	// benchmark (ce.StreamBench) and CI's bounded-memory job run it by
-	// name.
+	// the fly. Huge keeps it out of every test matrix; perfbench's
+	// huge-sampled workload and CI's bounded-memory job run it by name.
 	register(&Workload{
 		Name:        "compress.huge",
 		Description: "LZW over a multi-regime on-the-fly symbol stream, ~10^8 instructions (streaming/phase-sampling scale)",

@@ -10,6 +10,7 @@ package trace
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -109,6 +110,11 @@ func (s *fileStore) load(i int, m chunkMeta, dst []byte) ([]byte, error) {
 	if _, err := s.f.ReadAt(dst, fileHeaderLen+int64(m.startPos)); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("trace: %s: chunk %d truncated: %w", s.path, i, ErrCorruptChunk)
+		}
+		if errors.Is(err, os.ErrClosed) {
+			// Invalidated under this reader after a concurrent reader hit
+			// a bad chunk: the trace is gone for this reader too.
+			return nil, fmt.Errorf("trace: %s: chunk %d: trace invalidated: %w", s.path, i, ErrCorruptChunk)
 		}
 		return nil, classify(fmt.Errorf("trace: %s: reading chunk %d: %w", s.path, i, err))
 	}

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/pipeline"
 	"repro/internal/stats"
@@ -362,95 +361,4 @@ func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *s
 	}
 	e.traceMu.Unlock()
 	return st, nil
-}
-
-// SegmentBenchResult quantifies what segment-parallel simulation buys
-// on one (config, workload) pair: the monolithic baseline against the
-// sampled segmented run, with the estimate's error and the wall-clock
-// speedup.
-type SegmentBenchResult struct {
-	Workload string `json:"workload"`
-	Config   string `json:"config"`
-	Segments int    `json:"segments"`
-	Sample   int    `json:"sample"`
-	Warmup   int64  `json:"warmup"`
-	Steps    uint64 `json:"steps"`
-
-	MonoWallSeconds float64 `json:"mono_wall_seconds"`
-	MonoCycles      int64   `json:"mono_cycles"`
-	MonoIPC         float64 `json:"mono_ipc"`
-
-	SampledWallSeconds float64 `json:"sampled_wall_seconds"`
-	SampledIPC         float64 `json:"sampled_ipc"`
-	IPCHalfCI95        float64 `json:"ipc_half_ci95"`
-	// IPCErrorPct is the sampled IPC's signed error against the
-	// monolithic truth, in percent.
-	IPCErrorPct float64 `json:"ipc_error_pct"`
-	// Speedup is MonoWallSeconds / SampledWallSeconds.
-	Speedup float64 `json:"speedup"`
-}
-
-// SegmentBench measures segment-parallel sampled simulation against the
-// monolithic baseline on one workload under the baseline configuration.
-// The trace is captured (or loaded) up front so neither side is charged
-// for it.
-func SegmentBench(workload string, segments, sample int, warmup int64) (*SegmentBenchResult, error) {
-	eng := NewEngine()
-	tr, err := eng.traceFor(workload)
-	if err != nil {
-		return nil, err
-	}
-	cfg := BaselineConfig()
-
-	start := time.Now()
-	sim, err := pipeline.NewReplay(cfg, trace.NewReader(tr))
-	if err != nil {
-		return nil, err
-	}
-	mono, err := sim.Run(maxCycles)
-	if err != nil {
-		return nil, err
-	}
-	monoWall := time.Since(start).Seconds()
-
-	segs := tr.Segments(segments)
-	pick := make([]int, 0, len(segs))
-	for i := 0; i < len(segs); i += max(sample, 1) {
-		pick = append(pick, i)
-	}
-	start = time.Now()
-	parts, _, err := runSegments(cfg, tr, segs, pick, pipeline.SegmentOpts{Warmup: warmup})
-	if err != nil {
-		return nil, err
-	}
-	sampledWall := time.Since(start).Seconds()
-	ipcs := make([]float64, len(parts))
-	for i, p := range parts {
-		ipcs[i] = p.IPC()
-	}
-	mean, half := stats.MeanCI95(ipcs)
-
-	res := &SegmentBenchResult{
-		Workload: workload,
-		Config:   cfg.Name,
-		Segments: len(segs),
-		Sample:   sample,
-		Warmup:   warmup,
-		Steps:    tr.Steps(),
-
-		MonoWallSeconds: monoWall,
-		MonoCycles:      mono.Cycles,
-		MonoIPC:         mono.IPC(),
-
-		SampledWallSeconds: sampledWall,
-		SampledIPC:         mean,
-		IPCHalfCI95:        half,
-	}
-	if res.MonoIPC > 0 {
-		res.IPCErrorPct = (mean - res.MonoIPC) / res.MonoIPC * 100
-	}
-	if sampledWall > 0 {
-		res.Speedup = monoWall / sampledWall
-	}
-	return res, nil
 }

@@ -1,6 +1,7 @@
 package ce
 
 import (
+	"math"
 	"testing"
 )
 
@@ -233,24 +234,158 @@ func TestEnginePhaseSampling(t *testing.T) {
 	}
 }
 
-// TestSegmentBench smoke-tests the benchmark harness on a small
-// workload: both sides run, the speedup is computed, and the estimate
-// is self-consistent.
+// TestSegmentBench pins stride sampling against the monolithic run it
+// stands in for: with every second of 4 segments timed behind a short
+// fixed warmup, half the segments run, and both the IPC estimate and
+// the extrapolated cycle count stay within a sane band of the truth.
 func TestSegmentBench(t *testing.T) {
-	res, err := SegmentBench("micro.branchy", 4, 2, 1<<13)
+	const workload = "micro.branchy"
+	mono, _, err := NewEngine().RunOne(BaselineConfig(), workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MonoCycles <= 0 || res.MonoIPC <= 0 {
-		t.Fatalf("monolithic side empty: %+v", res)
+	if mono.Cycles <= 0 || mono.IPC() <= 0 {
+		t.Fatalf("monolithic side empty: %+v", mono)
 	}
-	if res.SampledIPC <= 0 || res.Speedup <= 0 {
-		t.Fatalf("sampled side empty: %+v", res)
+	eng := NewEngine()
+	eng.SetSegments(4)
+	eng.SetSegmentSample(2)
+	eng.SetSegmentWarmup(1 << 13)
+	_, m, err := eng.RunOne(BaselineConfig(), workload)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Segments < 2 || res.Sample != 2 {
-		t.Errorf("plan not honoured: %+v", res)
+	sm := m.Segments
+	if sm == nil || sm.Mode != "stride" || sm.Sample != 2 || sm.Segments < 2 ||
+		sm.Simulated != (sm.Segments+1)/2 {
+		t.Fatalf("plan not honoured: %+v", sm)
 	}
-	if res.IPCErrorPct < -50 || res.IPCErrorPct > 50 {
-		t.Errorf("sampled IPC off by %.1f%%", res.IPCErrorPct)
+	if sm.IPCMean <= 0 || sm.EstimatedCycles <= 0 {
+		t.Fatalf("sampled side empty: %+v", sm)
 	}
+	if e := (sm.IPCMean - mono.IPC()) / mono.IPC() * 100; e < -50 || e > 50 {
+		t.Errorf("sampled IPC off by %.1f%%", e)
+	}
+	if e := float64(sm.EstimatedCycles-mono.Cycles) / float64(mono.Cycles) * 100; e < -50 || e > 50 {
+		t.Errorf("estimated cycles off by %.1f%%", e)
+	}
+}
+
+// Equal-budget sampling plans, 4 of 16 segments timed: stride sampling
+// behind a fixed warmup, stride sampling with adaptive warmup, and one
+// representative per behavior cluster with adaptive warmup.
+func planStride(e *Engine) {
+	e.SetSegments(16)
+	e.SetSegmentSample(4)
+	e.SetSegmentWarmup(1 << 15)
+}
+
+func planStrideAdaptive(e *Engine) {
+	e.SetSegments(16)
+	e.SetSegmentSample(4)
+	e.SetSegmentAdaptive(true)
+}
+
+func planPhase(e *Engine) {
+	e.SetSegments(16)
+	e.SetSegmentPhases(4)
+	e.SetSegmentAdaptive(true)
+}
+
+// runStreamed runs workload on the baseline through a fresh engine
+// that keeps its traces in dir, under the segment plan (nil for a
+// monolithic run), and fails the test unless the trace was replayed
+// from disk with no packed bytes resident.
+func runStreamed(t *testing.T, dir, workload string, plan func(*Engine)) (Stats, RunMetrics) {
+	t.Helper()
+	eng := NewEngine()
+	if err := eng.SetTraceDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if plan != nil {
+		plan(eng)
+	}
+	st, m, err := eng.RunOne(BaselineConfig(), workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := eng.TraceStats(); ts.TraceDiskBytes == 0 || ts.TraceResidentBytes != 0 {
+		t.Errorf("trace not streamed from disk: %d bytes on disk, %d resident",
+			ts.TraceDiskBytes, ts.TraceResidentBytes)
+	}
+	return st, m
+}
+
+// TestStreamBench runs a long workload streamed through a trace
+// directory under each equal-budget sampling plan: every plan keeps to
+// 4 of 16 segments, lands within a sane band of the monolithic IPC, and
+// the adaptive plans actually discard warmup steps.
+func TestStreamBench(t *testing.T) {
+	const workload = "compress.big"
+	dir := t.TempDir()
+	mono, _ := runStreamed(t, dir, workload, nil)
+	truth := mono.IPC()
+	if mono.Cycles <= 0 || truth <= 0 {
+		t.Fatalf("exact side empty: %+v", mono)
+	}
+	for _, mode := range []struct {
+		name     string
+		plan     func(*Engine)
+		adaptive bool
+	}{
+		{"fixed", planStride, false},
+		{"adaptive", planStrideAdaptive, true},
+		{"phase", planPhase, true},
+	} {
+		_, m := runStreamed(t, dir, workload, mode.plan)
+		sm := m.Segments
+		if sm == nil || sm.Segments != 16 || sm.Simulated < 1 || sm.Simulated > 4 {
+			t.Fatalf("%s: broke its 4-of-16 segment budget: %+v", mode.name, sm)
+		}
+		if sm.IPCMean <= 0 || sm.EstimatedCycles <= 0 {
+			t.Errorf("%s: degenerate estimate: %+v", mode.name, sm)
+		}
+		if e := (sm.IPCMean - truth) / truth * 100; e < -50 || e > 50 {
+			t.Errorf("%s: IPC off by %.1f%%", mode.name, e)
+		}
+		if mode.adaptive && sm.WarmupMeanSteps <= 0 {
+			t.Errorf("%s: adaptive warmup discarded no steps: %+v", mode.name, sm)
+		}
+	}
+}
+
+// TestEnginePhaseBeatsStride pins phase-clustered sampling's reason to
+// exist on a long workload streamed through a trace directory: at an
+// equal budget of 4 of 16 segments, the phase-weighted IPC lands closer
+// to the monolithic truth than stride sampling with a fixed warmup.
+// Both modes stay within the budget, the disk-backed trace holds no
+// packed bytes resident, and adaptive warmup actually discards steps.
+// All of it is deterministic.
+func TestEnginePhaseBeatsStride(t *testing.T) {
+	const workload = "compress.big"
+	dir := t.TempDir()
+	mono, _ := runStreamed(t, dir, workload, nil)
+	_, stride := runStreamed(t, dir, workload, planStride)
+	_, phase := runStreamed(t, dir, workload, planPhase)
+	truth := mono.IPC()
+	errPct := func(m RunMetrics) float64 {
+		t.Helper()
+		sm := m.Segments
+		if sm == nil || sm.Segments != 16 || sm.Simulated < 1 || sm.Simulated > 4 {
+			t.Fatalf("sampled run broke its 4-of-16 segment budget: %+v", sm)
+		}
+		return (sm.IPCMean - truth) / truth * 100
+	}
+	strideErr, phaseErr := errPct(stride), errPct(phase)
+	if stride.Segments.Mode != "stride" || phase.Segments.Mode != "phase" {
+		t.Fatalf("modes %q/%q, want stride/phase", stride.Segments.Mode, phase.Segments.Mode)
+	}
+	if math.Abs(phaseErr) >= math.Abs(strideErr) {
+		t.Errorf("phase sampling no better than stride: %+.2f%% vs %+.2f%% (monolithic IPC %.4f)",
+			phaseErr, strideErr, truth)
+	}
+	if phase.Segments.WarmupMeanSteps <= 0 {
+		t.Errorf("adaptive warmup discarded no steps: %+v", phase.Segments)
+	}
+	t.Logf("monolithic IPC %.4f; stride %+.2f%%, phase %+.2f%%", truth, strideErr, phaseErr)
 }

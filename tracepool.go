@@ -570,19 +570,28 @@ func (e *Engine) noteCaptureFailure(workload string, err error) {
 
 // dropCorrupt evicts workload's pooled trace after a chunk checksum
 // failure, deleting its backing file so the next traceFor call
-// recaptures rather than reloading the same bad bytes.
+// recaptures rather than reloading the same bad bytes. Concurrent runs
+// over one bad trace all land here; only the call that evicts tr counts
+// and invalidates it. The file is removed before the slot frees, so a
+// recapture can neither reload the bad file nor have its fresh file
+// deleted by a late drop of the old trace.
 func (e *Engine) dropCorrupt(workload string, tr *trace.Trace) {
 	e.traceMu.Lock()
+	evict := false
 	if ent, ok := e.traces[workload]; ok {
 		select {
 		case <-ent.done:
-			if ent.tr == tr {
-				delete(e.traces, workload)
-			}
+			evict = ent.tr == tr
 		default:
 			// An in-flight recapture already owns the slot; leave it.
 		}
 	}
+	if !evict {
+		e.traceMu.Unlock()
+		return
+	}
+	tr.Invalidate() //ce:lock-ok one close and unlink, once per corrupt trace; freeing the slot first would let a recapture reload the bad file
+	delete(e.traces, workload)
 	e.tstats.CorruptDropped++
 	sc := e.slabs
 	e.traceMu.Unlock()
@@ -592,5 +601,4 @@ func (e *Engine) dropCorrupt(workload string, tr *trace.Trace) {
 		sc.DropTrace(tr)
 	}
 	e.warnOnce("corrupt:"+workload, "trace %s: chunk checksum failed mid-replay; dropping the trace and recapturing", workload)
-	tr.Invalidate()
 }

@@ -1,8 +1,10 @@
 package ce
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/prog"
@@ -251,26 +253,9 @@ func testCorruptTraceRecaptured(t *testing.T, segments int) {
 	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
 		t.Fatal(err)
 	}
-	w, err := prog.ByName("micro.branchy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := w.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := trace.DiskPath(dir, p)
-	// Flip one byte inside the first chunk's packed data (the header is
-	// 40 bytes). The pooled trace reads through an open handle, so the
-	// flip is visible to its next chunk load.
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0xFF}, 40+64); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	// The pooled trace reads through an open handle, so the flip is
+	// visible to its next chunk load.
+	rotFirstChunk(t, dir, "micro.branchy")
 
 	// A different configuration misses the run cache and replays the now
 	// rotten trace; the engine must drop it, recapture, and succeed.
@@ -326,22 +311,7 @@ func TestEngineGangCorruptTraceRecaptured(t *testing.T) {
 		if _, err := seed.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
 			t.Fatal(err)
 		}
-		w, err := prog.ByName("micro.branchy")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := w.Program()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.OpenFile(trace.DiskPath(dir, p), os.O_RDWR, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt([]byte{0xFF}, 40+64); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+		rotFirstChunk(t, dir, "micro.branchy")
 
 		// A fresh engine loads the rotten file lazily; the gang's first
 		// slab decode trips the checksum.
@@ -374,11 +344,117 @@ func TestEngineGangCorruptTraceRecaptured(t *testing.T) {
 	}
 }
 
+// rotFirstChunk flips one byte inside the first chunk's packed records
+// of workload's trace file in dir (the file header is 40 bytes),
+// invalidating that chunk's checksum but nothing else.
+func rotFirstChunk(t *testing.T, dir, workload string) {
+	t.Helper()
+	w, err := prog.ByName(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(trace.DiskPath(dir, p), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{0xFF}, 40+64); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replayPanel is the verification panel without its wrong-path
+// configurations: those cannot replay a trace, so they never gang.
+func replayPanel() []Config {
+	var cfgs []Config
+	for _, cfg := range benchPanel() {
+		if !cfg.WrongPathExecution {
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return cfgs
+}
+
+// TestEngineConcurrentCorruptDropCountedOnce pins the corrupt-drop
+// accounting under concurrency: N configurations replaying one rotten
+// trace at once all trip its checksum, but the trace is dropped (and
+// counted) once, recaptured once, and every run's statistics equal a
+// clean engine's. Run under -race it also checks the drop for tearing.
+// The recaptured file must survive the late drops: a fresh engine
+// loads it from disk.
+func TestEngineConcurrentCorruptDropCountedOnce(t *testing.T) {
+	const workload = "micro.branchy"
+	cfgs := replayPanel()
+	if len(cfgs) < 3 {
+		t.Fatalf("panel has %d replay-capable configs; need >= 3", len(cfgs))
+	}
+	clean, err := NewEngine().RunMatrix(cfgs, []string{workload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, segments := range []int{0, 4} {
+		dir := t.TempDir()
+		seed := NewEngine()
+		if err := seed.SetTraceDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := seed.traceFor(workload); err != nil {
+			t.Fatal(err)
+		}
+		rotFirstChunk(t, dir, workload)
+
+		// Every run blocks on the one lazy disk load, then all replay the
+		// same rotten trace together.
+		eng := NewEngine()
+		eng.SetSegments(segments)
+		if err := eng.SetTraceDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]Stats, len(cfgs))
+		errs := make([]error, len(cfgs))
+		var wg sync.WaitGroup
+		for i, cfg := range cfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], _, errs[i] = eng.RunOne(cfg, workload)
+			}()
+		}
+		wg.Wait()
+		for i, cfg := range cfgs {
+			if errs[i] != nil {
+				t.Fatalf("segments=%d %s: %v", segments, cfg.Name, errs[i])
+			}
+			eqStats(t, fmt.Sprintf("segments=%d %s", segments, cfg.Name), got[i], clean[i][0])
+		}
+		ts := eng.TraceStats()
+		if ts.CorruptDropped != 1 || ts.DiskHits != 1 || ts.Captures != 1 {
+			t.Errorf("segments=%d: CorruptDropped=%d DiskHits=%d Captures=%d, want 1/1/1",
+				segments, ts.CorruptDropped, ts.DiskHits, ts.Captures)
+		}
+		reload := NewEngine()
+		if err := reload.SetTraceDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reload.traceFor(workload); err != nil {
+			t.Fatal(err)
+		}
+		if ts := reload.TraceStats(); ts.DiskHits != 1 || ts.Captures != 0 {
+			t.Errorf("segments=%d: recaptured trace not reloadable: %+v", segments, ts)
+		}
+	}
+}
+
 // TestEngineGangEquivalence pins the gang-replay contract at the engine
 // level: a matrix run with gang replay (the default) and one with it
 // disabled produce identical simulation results, the ganged engine
-// counts its runs and slab sharing, and the decoded-record total drops
-// below the per-config baseline's (#configs × trace length).
+// counts its runs and slab sharing, and the decoded-record totals are
+// exactly the trace lengths (ganged) and #configs × trace lengths
+// (streamed).
 func TestEngineGangEquivalence(t *testing.T) {
 	cfgs := []Config{BaselineConfig(), DependenceConfig(), FourWayConfig()}
 	workloads := []string{"compress", "micro.branchy"}
@@ -426,17 +502,78 @@ func TestEngineGangEquivalence(t *testing.T) {
 	if sts.GangRuns != 0 || sts.SlabDecodes != 0 {
 		t.Errorf("gang-disabled engine touched the slab cache: %+v", sts)
 	}
-	if gts.RecordsDecoded == 0 || sts.RecordsDecoded == 0 {
-		t.Fatalf("decoded-record accounting is dark: gang %d, stream %d", gts.RecordsDecoded, sts.RecordsDecoded)
+	// Exact decode accounting: the gang decodes each chunk once, so it
+	// decodes every trace exactly once; streaming replay decodes every
+	// trace once per configuration.
+	var steps uint64
+	for _, w := range workloads {
+		tr, err := gangEng.traceFor(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps += tr.Steps()
 	}
-	if gts.RecordsDecoded*uint64(len(cfgs)) > sts.RecordsDecoded {
-		t.Errorf("gang decoded %d records vs %d streamed — expected at least a %d× reduction",
-			gts.RecordsDecoded, sts.RecordsDecoded, len(cfgs))
+	if gts.RecordsDecoded != steps {
+		t.Errorf("ganged sweep decoded %d records, want exactly the summed trace lengths %d",
+			gts.RecordsDecoded, steps)
+	}
+	if want := uint64(len(cfgs)) * steps; sts.RecordsDecoded != want {
+		t.Errorf("streamed sweep decoded %d records, want %d (configs x summed trace lengths)",
+			sts.RecordsDecoded, want)
+	}
+	if gts.SlabPeakBytes <= 0 {
+		t.Errorf("slab peak bytes = %d, want > 0", gts.SlabPeakBytes)
 	}
 	for _, m := range gangEng.Metrics() {
 		if !m.Cached && !m.Ganged {
 			t.Errorf("%s/%s: fresh run not marked ganged", m.Config, m.Workload)
 		}
+	}
+}
+
+// TestGangBench pins gang replay's decode saving over the whole
+// replay-capable panel on one workload: the ganged sweep decodes the
+// trace exactly once and the gang-disabled sweep once per
+// configuration, so the reduction equals the panel size, and the gang
+// both decodes and shares slabs.
+func TestGangBench(t *testing.T) {
+	const workload = "micro.branchy"
+	cfgs := replayPanel()
+	if len(cfgs) < 2 {
+		t.Fatalf("panel has %d replay-capable configs; need >= 2 for a gang", len(cfgs))
+	}
+	sweep := func(gang bool) TraceStats {
+		t.Helper()
+		eng := NewEngine()
+		eng.SetGangReplay(gang)
+		if _, err := eng.RunMatrix(cfgs, []string{workload}); err != nil {
+			t.Fatal(err)
+		}
+		return eng.TraceStats()
+	}
+	gts, sts := sweep(true), sweep(false)
+	tr, err := NewEngine().traceFor(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := tr.Steps()
+	if steps == 0 {
+		t.Fatal("zero steps")
+	}
+	if gts.RecordsDecoded != steps {
+		t.Errorf("ganged sweep decoded %d records, want exactly the trace length %d",
+			gts.RecordsDecoded, steps)
+	}
+	if want := steps * uint64(len(cfgs)); sts.RecordsDecoded != want {
+		t.Errorf("gang-disabled sweep decoded %d records, want %d (configs x steps)",
+			sts.RecordsDecoded, want)
+	}
+	if gts.SlabDecodes == 0 || gts.SlabHits == 0 {
+		t.Errorf("ganged sweep: %d slab decodes, %d hits; want both > 0",
+			gts.SlabDecodes, gts.SlabHits)
+	}
+	if gts.SlabPeakBytes <= 0 {
+		t.Errorf("slab peak bytes = %d, want > 0", gts.SlabPeakBytes)
 	}
 }
 
