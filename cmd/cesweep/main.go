@@ -32,14 +32,6 @@
 //	-trace-dir DIR      persist captured traces on disk across invocations
 //	-no-trace-replay    drive every simulation by lockstep execution
 //
-// Concurrent replay runs of one workload gang together, sharing each
-// trace chunk decoded once into an immutable slab (byte-identical
-// results, less decode work):
-//
-//	-no-gang            give every replay run a private streaming reader
-//	-slab-budget-mb N   bound the decoded-slab cache (default 256 MiB);
-//	                    traces too big to fit stream instead
-//
 // Segment-parallel simulation shards each trace into K segments timed
 // independently across CPUs and stitches the results:
 //
@@ -97,8 +89,6 @@ var (
 	segWarmup  = flag.String("warmup", "-1", "per-segment warmup: instruction count (-1 = full prefix, exact stitching) or 'adaptive' (per-segment IPC-convergence detection)")
 	segSample  = flag.String("sample", "1", "segment sampling: simulate every Nth segment and extrapolate (N), or 'phase' (time one representative per behavior cluster, weighted by cluster mass)")
 	segPhases  = flag.Int("phases", 8, "maximum behavior clusters for -sample=phase")
-	noGang     = flag.Bool("no-gang", false, "disable gang replay: give every replay run a private streaming reader instead of shared decoded slabs")
-	slabMB     = flag.Int64("slab-budget-mb", 0, "bound the decoded-slab cache to this many MiB (0 = default 256); traces too big to fit stream instead")
 	cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprof    = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 )
@@ -171,10 +161,6 @@ func setupObservability() (func() error, error) {
 		}
 	}
 	eng.SetTraceReplay(!*noReplay)
-	eng.SetGangReplay(!*noGang)
-	if *slabMB > 0 {
-		eng.SetSlabBudget(*slabMB << 20)
-	}
 	eng.SetSegments(*segments)
 	if *segWarmup == "adaptive" {
 		eng.SetSegmentAdaptive(true)
@@ -229,11 +215,6 @@ func setupObservability() (func() error, error) {
 			fmt.Fprintf(os.Stderr,
 				"cesweep: trace bytes: %d on disk, %d resident; %d capture failures, %d corrupt traces dropped\n",
 				ts.TraceDiskBytes, ts.TraceResidentBytes, ts.CaptureFailures, ts.CorruptDropped)
-			if ts.GangRuns > 0 || ts.SlabDecodes > 0 {
-				fmt.Fprintf(os.Stderr,
-					"cesweep: gang: %d ganged runs; %d slab decodes, %d hits, %d evictions, peak %d bytes; %d records decoded\n",
-					ts.GangRuns, ts.SlabDecodes, ts.SlabHits, ts.SlabEvictions, ts.SlabPeakBytes, ts.RecordsDecoded)
-			}
 		}
 		if *metrics != "" {
 			dump := struct {

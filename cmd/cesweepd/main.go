@@ -21,6 +21,10 @@
 // exactly one of them and read from disk by the rest. -cache-max bounds
 // the warm in-memory tier; evicted results reload from the directory.
 //
+// A client that stalls while sending a request header is disconnected
+// after 5 s, and an idle keep-alive connection after 2 minutes; neither
+// timeout is a flag.
+//
 // On SIGINT/SIGTERM the daemon stops accepting connections, lets
 // in-flight simulations finish (up to -shutdown-timeout), writes a final
 // metrics summary to stderr, and exits 0.
@@ -45,14 +49,23 @@ import (
 	"repro/internal/server"
 )
 
+// Connection timeouts for both listeners. readHeaderTimeout bounds how
+// long a client may take to send its request header, so slow or stalled
+// clients cannot hold connections open indefinitely; idleTimeout closes
+// keep-alive connections that sit idle between requests. Neither bounds
+// a request body or a response: a POST /run may legitimately simulate
+// for minutes.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 var (
 	addr            = flag.String("addr", "localhost:8344", "listen address (host:port; :0 picks a free port)")
 	cacheDir        = flag.String("cache-dir", "", "persist run results under this directory (shared across daemons)")
 	traceDir        = flag.String("trace-dir", "", "persist execution traces under this directory (shared across daemons)")
 	cacheMax        = flag.Int("cache-max", 4096, "max run results held in memory, LRU over the disk tier (0 = unbounded)")
 	noReplay        = flag.Bool("no-trace-replay", false, "drive every simulation by lockstep execution instead of trace replay")
-	noGang          = flag.Bool("no-gang", false, "disable gang replay: give every replay run a private streaming reader instead of shared decoded slabs")
-	slabMB          = flag.Int64("slab-budget-mb", 0, "bound the decoded-slab cache to this many MiB (0 = default 256)")
 	pprofAddr       = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled. Never exposed on the serving port")
 	segments        = flag.Int("segments", 0, "cut each trace into this many segments timed in parallel (0 = monolithic)")
 	segWarmup       = flag.String("warmup", "-1", "per-segment warmup: instruction count (-1 = full prefix, exact stitching) or 'adaptive'")
@@ -90,10 +103,6 @@ func run() error {
 	}
 	eng.SetCacheLimit(*cacheMax)
 	eng.SetTraceReplay(!*noReplay)
-	eng.SetGangReplay(!*noGang)
-	if *slabMB > 0 {
-		eng.SetSlabBudget(*slabMB << 20)
-	}
 	eng.SetSegments(*segments)
 	if *segWarmup == "adaptive" {
 		eng.SetSegmentAdaptive(true)
@@ -147,10 +156,10 @@ func run() error {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		fmt.Fprintf(os.Stderr, "cesweepd: pprof on http://%s/debug/pprof/\n", pln.Addr())
-		go func() { _ = (&http.Server{Handler: mux}).Serve(pln) }()
+		go func() { _ = newHTTPServer(mux).Serve(pln) }()
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
@@ -175,4 +184,10 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "cesweepd: final metrics\n%s", summary)
 	}
 	return nil
+}
+
+// newHTTPServer returns a server for h with the daemon's connection
+// timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

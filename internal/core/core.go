@@ -129,6 +129,12 @@ type CentralWindow struct {
 	// entries scan.
 	board   wakeBoard
 	entries []*Uop
+	// perm and issued are random selection's per-cycle scratch, reused
+	// so its Select allocates nothing in steady state: perm is the
+	// shuffled visiting order over entries' indices, issued marks the
+	// indices that issued this cycle (all false between cycles).
+	perm   []int
+	issued []bool
 }
 
 // NewCentralWindow builds a single-cluster window of the given size; every
@@ -219,30 +225,40 @@ func (w *CentralWindow) Select(now int64, tryIssue func(u *Uop) bool) {
 		w.board.ready = kept
 		return
 	}
-	order := make([]*Uop, len(w.entries)) //ce:alloc-ok random-select ablation only; keeps the published rng stream
-	copy(order, w.entries)
-	for i := len(order) - 1; i > 0; i-- {
+	// Shuffling indices performs the same swaps, and so consumes the same
+	// rng stream, as shuffling the entries themselves.
+	n := len(w.entries)
+	perm := w.perm[:0]
+	for i := 0; i < n; i++ {
+		perm = append(perm, i) //ce:alloc-ok grows to the window size once, then reused
+	}
+	w.perm = perm
+	for i := n - 1; i > 0; i-- {
 		w.rng = w.rng*1103515245 + 12345
 		j := int(uint32(w.rng)>>16) % (i + 1)
-		order[i], order[j] = order[j], order[i]
+		perm[i], perm[j] = perm[j], perm[i]
 	}
-	var issued map[*Uop]bool
-	for _, u := range order {
-		if tryIssue(u) {
-			if issued == nil {
-				issued = make(map[*Uop]bool) //ce:alloc-ok random-select ablation only, nil until first issue
-			}
-			issued[u] = true
+	if cap(w.issued) < n {
+		w.issued = make([]bool, n) //ce:alloc-ok grows to the window size once, then reused
+	}
+	issued := w.issued[:n]
+	issuedAny := false
+	for _, i := range perm {
+		if tryIssue(w.entries[i]) {
+			issued[i] = true
+			issuedAny = true
 		}
 	}
-	if len(issued) == 0 {
+	if !issuedAny {
 		return
 	}
 	kept := w.entries[:0]
-	for _, u := range w.entries {
-		if !issued[u] {
-			kept = append(kept, u)
+	for i, u := range w.entries {
+		if issued[i] {
+			issued[i] = false
+			continue
 		}
+		kept = append(kept, u)
 	}
 	for i := len(kept); i < len(w.entries); i++ {
 		w.entries[i] = nil

@@ -115,8 +115,9 @@ end:	out  $s0
 }
 
 // TestSteadyStateAllocationFree is the allocation guard: after warm-up,
-// a full simulation of the baseline window configuration must perform
-// (amortized) zero heap allocations per simulated cycle.
+// a full simulation of the baseline window configuration, and of the
+// random-select window ablation, must perform (amortized) zero heap
+// allocations per simulated cycle.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	w, err := prog.ByName("compress")
 	if err != nil {
@@ -126,40 +127,44 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := cfg("alloc-guard", 1, 0, window64)
-	c.PerfectBPred = false
-	run := func() Stats {
-		sim, err := New(c, p)
-		if err != nil {
-			t.Fatal(err)
+	randomSelect := func() core.Scheduler { return core.NewRandomSelectWindow(64) }
+	for _, sched := range []func() core.Scheduler{window64, randomSelect} {
+		c := cfg("alloc-guard", 1, 0, sched)
+		c.PerfectBPred = false
+		name := sched().Name()
+		run := func() Stats {
+			sim, err := New(c, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := sim.Run(10_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
 		}
-		st, err := sim.Run(10_000_000)
-		if err != nil {
-			t.Fatal(err)
+		st := run()
+		if st.Cycles < 1000 {
+			t.Fatalf("%s: guard program too small: %d cycles", name, st.Cycles)
 		}
-		return st
-	}
-	st := run()
-	if st.Cycles < 1000 {
-		t.Fatalf("guard program too small: %d cycles", st.Cycles)
-	}
-	// Each run constructs a fresh Simulator (caches, rename table,
-	// predictor...), so per-run allocations are bounded by a constant;
-	// the per-cycle amortized count must be ~0. With the old per-fetch
-	// &core.Uop and per-cycle scratch slices this was > 5 allocs/cycle.
-	const maxPerRun = 2000
-	allocs := testing.AllocsPerRun(5, func() { run() })
-	if allocs > maxPerRun {
-		t.Errorf("simulation run allocates %.0f objects (limit %d): steady state is not allocation-free (%.3f allocs/cycle over %d cycles)",
-			allocs, maxPerRun, allocs/float64(st.Cycles), st.Cycles)
-	}
-	// HostAllocs should agree with the direct measurement's order of
-	// magnitude (it includes ReadMemStats noise, so just sanity-bound it).
-	if st.HostAllocs > 100*maxPerRun {
-		t.Errorf("Stats.HostAllocs = %d, want construction-bounded count", st.HostAllocs)
-	}
-	if st.HostWallSeconds <= 0 {
-		t.Errorf("Stats.HostWallSeconds = %v, want > 0", st.HostWallSeconds)
+		// Each run constructs a fresh Simulator (caches, rename table,
+		// predictor...), so per-run allocations are bounded by a constant;
+		// the per-cycle amortized count must be ~0. With the old per-fetch
+		// &core.Uop and per-cycle scratch slices this was > 5 allocs/cycle.
+		const maxPerRun = 2000
+		allocs := testing.AllocsPerRun(5, func() { run() })
+		if allocs > maxPerRun {
+			t.Errorf("%s: simulation run allocates %.0f objects (limit %d): steady state is not allocation-free (%.3f allocs/cycle over %d cycles)",
+				name, allocs, maxPerRun, allocs/float64(st.Cycles), st.Cycles)
+		}
+		// HostAllocs should agree with the direct measurement's order of
+		// magnitude (it includes ReadMemStats noise, so just sanity-bound it).
+		if st.HostAllocs > 100*maxPerRun {
+			t.Errorf("%s: Stats.HostAllocs = %d, want construction-bounded count", name, st.HostAllocs)
+		}
+		if st.HostWallSeconds <= 0 {
+			t.Errorf("%s: Stats.HostWallSeconds = %v, want > 0", name, st.HostWallSeconds)
+		}
 	}
 }
 

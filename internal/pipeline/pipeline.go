@@ -256,17 +256,12 @@ const regWriteDelay = 2
 // Simulator times one program on one configuration.
 type Simulator struct {
 	cfg Config
-	// src streams the dynamic instructions fetch consumes; machine is the
-	// concrete emulator behind it in lockstep mode (nil under replay; see
-	// ExecSource), reader the concrete trace cursor in replay mode. The
-	// hot fetch loop calls whichever concrete source is set — hundreds of
-	// millions of per-instruction calls make interface dispatch measurable
-	// — and falls back to the interface for custom sources. Wrong-path
-	// execution requires machine.
-	src     ExecSource
+	// Exactly one execution source streams the dynamic instructions fetch
+	// consumes: machine, a functional emulator resolving each instruction
+	// as fetch consumes it (lockstep, New), or reader, a pre-captured
+	// trace (replay, NewReplay). Wrong-path execution requires machine.
 	machine *emu.Machine
 	reader  *trace.Reader
-	slab    *slabSource
 	sched   core.Scheduler
 	pred    bpred.Predictor
 	dcache  *cache.Cache
@@ -363,25 +358,17 @@ type TimelineEntry struct {
 	Commit   int64
 }
 
-// sourcePC dispatches the icache probe's PC query to the concrete
-// execution source. Fetch touches the source once per dynamic
-// instruction — hundreds of millions of times in a sweep — so the two
-// concrete sources are dispatched directly (here and inline in fetch for
-// Step, whose Record return is too large to route through an extra call
-// frame); the interface is the fallback for custom sources.
+// sourcePC returns the PC of the next instruction the execution source
+// will produce (the icache probe's query). Fetch queries the source once
+// per dynamic instruction, so sourcePC, sourceHalted and fetch's Step
+// call branch on the concrete source instead of calling an interface.
 //
 //ce:hot
 func (s *Simulator) sourcePC() uint32 {
 	if s.machine != nil {
 		return s.machine.PC()
 	}
-	if s.slab != nil {
-		return s.slab.PC()
-	}
-	if s.reader != nil {
-		return s.reader.PC()
-	}
-	return s.src.PC()
+	return s.reader.PC()
 }
 
 // sourceHalted mirrors sourcePC for the end-of-stream check.
@@ -391,31 +378,23 @@ func (s *Simulator) sourceHalted() bool {
 	if s.machine != nil {
 		return s.machine.Halted()
 	}
-	if s.slab != nil {
-		return s.slab.halted
-	}
-	if s.reader != nil {
-		return s.reader.Halted()
-	}
-	return s.src.Halted()
+	return s.reader.Halted()
 }
 
 // New builds a simulator driven by lockstep functional execution of prog.
 func New(cfg Config, prog *isa.Program) (*Simulator, error) {
-	m := emu.New(prog)
-	return newSimulator(cfg, machineSource{m}, m)
+	return newSimulator(cfg, prog, emu.New(prog), nil)
 }
 
 // newSimulator is the shared constructor behind New and NewReplay;
-// machine is nil when src is not backed by a live emulator.
-func newSimulator(cfg Config, src ExecSource, machine *emu.Machine) (*Simulator, error) {
+// exactly one of machine and reader is non-nil.
+func newSimulator(cfg Config, prog *isa.Program, machine *emu.Machine, reader *trace.Reader) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.WrongPathExecution && machine == nil {
 		return nil, fmt.Errorf("pipeline: %s: wrong-path execution requires a lockstep machine", cfg.Name)
 	}
-	prog := src.Program()
 	if cfg.DCache == (cache.Config{}) {
 		cfg.DCache = cache.Baseline()
 	}
@@ -437,8 +416,8 @@ func newSimulator(cfg Config, src ExecSource, machine *emu.Machine) (*Simulator,
 	}
 	s := &Simulator{
 		cfg:          cfg,
-		src:          src,
 		machine:      machine,
+		reader:       reader,
 		sched:        sched,
 		pred:         pred,
 		dcache:       dc,
@@ -452,12 +431,6 @@ func newSimulator(cfg Config, src ExecSource, machine *emu.Machine) (*Simulator,
 			return nil, err
 		}
 		s.icache = ic
-	}
-	if r, ok := src.(*trace.Reader); ok {
-		s.reader = r
-	}
-	if ss, ok := src.(*slabSource); ok {
-		s.slab = ss
 	}
 	s.nPhys = cfg.PhysRegs
 	s.nClus = cfg.Clusters
@@ -1102,18 +1075,14 @@ func (s *Simulator) fetch() error {
 				}
 			}
 		}
-		// See sourcePC: monomorphic source dispatch, inlined so the Record
-		// is written once into rec rather than copied through a helper.
+		// See sourcePC: concrete source dispatch, inlined so the Record is
+		// written once into rec rather than copied through a helper.
 		var rec emu.Record
 		var err error
 		if s.machine != nil {
 			rec, err = s.machine.Step()
-		} else if s.slab != nil {
-			rec, err = s.slab.Step()
-		} else if s.reader != nil {
-			rec, err = s.reader.Step()
 		} else {
-			rec, err = s.src.Step()
+			rec, err = s.reader.Step()
 		}
 		if err != nil {
 			if s.resolving != nil {
@@ -1190,11 +1159,21 @@ func (s *Simulator) Machine() *emu.Machine { return s.machine }
 
 // Output returns the program output produced by the execution source
 // (complete once the run has finished).
-func (s *Simulator) Output() []int32 { return s.src.Output() }
+func (s *Simulator) Output() []int32 {
+	if s.machine != nil {
+		return s.machine.Output
+	}
+	return s.reader.Output()
+}
 
 // StateHash returns the final architectural digest of the executed (or
 // replayed) program.
-func (s *Simulator) StateHash() [32]byte { return s.src.StateHash() }
+func (s *Simulator) StateHash() [32]byte {
+	if s.machine != nil {
+		return s.machine.StateHash()
+	}
+	return s.reader.StateHash()
+}
 
 // Scheduler exposes the scheduler (for diagnostics).
 func (s *Simulator) Scheduler() core.Scheduler { return s.sched }

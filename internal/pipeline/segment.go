@@ -81,13 +81,6 @@ type SegmentOpts struct {
 	// (default 65536 — two warm-start intervals — and never more than
 	// half the segment, so every segment yields a measurement).
 	AdaptiveCap uint64
-	// Slabs, when non-nil, drives the segment from shared decoded slabs
-	// (gang replay) instead of a private streaming Reader: the segment
-	// worker opens a SlabCursor at the warm-start boundary, so concurrent
-	// segments — across configs and across segment indices — share one
-	// decoded copy of each chunk. The stitched statistics are identical
-	// either way; internal/verify pins it.
-	Slabs *trace.SlabCache
 }
 
 // Adaptive warmup defaults; see SegmentOpts.
@@ -130,25 +123,12 @@ func RunSegmentOpts(cfg Config, tr *trace.Trace, seg trace.Segment, opts Segment
 		warmup = 0
 	}
 	start := tr.WarmStart(seg, warmup)
-	var (
-		sim *Simulator
-		err error
-	)
-	if opts.Slabs != nil {
-		cur, cerr := trace.NewSlabCursorAt(opts.Slabs, tr, start)
-		if cerr != nil {
-			return Stats{}, SegmentReport{}, cerr
-		}
-		defer cur.Release()
-		sim, err = NewSlabReplay(cfg, cur)
-	} else {
-		rd, rerr := trace.NewReaderAt(tr, start)
-		if rerr != nil {
-			return Stats{}, SegmentReport{}, rerr
-		}
-		defer rd.Release()
-		sim, err = NewReplay(cfg, rd)
+	rd, err := trace.NewReaderAt(tr, start)
+	if err != nil {
+		return Stats{}, SegmentReport{}, err
 	}
+	defer rd.Release()
+	sim, err := NewReplay(cfg, rd)
 	if err != nil {
 		return Stats{}, SegmentReport{}, err
 	}

@@ -203,10 +203,16 @@ func parseFooter(footer []byte, p *isa.Program) (*Trace, error) {
 	if c.bad || uint64(len(c.b)) < uint64(nBounds)*boundaryBytes {
 		return corrupt("boundary table overruns the footer")
 	}
+	// Capture stores a boundary after every boundaryInterval records, so
+	// the table's length also bounds the step count a footer can claim
+	// (and with it the records a Reader will decode).
+	if uint64(nBounds) != t.n/boundaryInterval {
+		return corrupt("boundary count does not match step count")
+	}
 	t.bounds = make([]Boundary, nBounds)
 	for i := range t.bounds {
 		t.bounds[i] = Boundary{Step: c.u64(), Pos: c.u64(), PC: c.u32()}
-		if t.bounds[i].Step > t.n || t.bounds[i].Pos > t.packedLen {
+		if t.bounds[i].Step != uint64(i+1)*boundaryInterval || t.bounds[i].Pos > t.packedLen {
 			return corrupt("boundary outside the trace")
 		}
 	}

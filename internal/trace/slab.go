@@ -1,21 +1,16 @@
 package trace
 
-// Gang replay's decode-once layer: a chunk of the packed stream is
-// decoded exactly once into an immutable slab of emu.Records, and every
-// configuration simulating the workload reads the same slab through a
-// cheap cursor. The sweep engine decodes each trace ~once per sweep
-// instead of once per (config, segment) pair — chunk reads, lazy sha256
-// verification and per-record decoding all collapse into one pass.
+// Chunk-batched decode into a budgeted cache of decoded slabs. Replay
+// does not use it — every simulation streams its trace through a private
+// Reader, which measured no slower and holds one chunk of packed bytes
+// instead of decoded records at ~24 bytes each. SlabCache, Slab and
+// Acquire/Release are kept only for the repository benchmark's
+// trace.slab_decode_ms probe, which times one Acquire per chunk.
 //
-// Memory discipline: decoded records are ~24 bytes against the format's
-// ~1 packed byte, so slabs are cached under an explicit byte budget with
-// LRU eviction of unpinned entries. A cursor pins (refcounts) the slab
-// it is currently reading; pinned slabs are never reclaimed, so an
-// in-flight gang can never observe a recycled slab — the eviction test
-// runs the whole arrangement under the race detector. Traces whose full
-// decoded footprint exceeds the budget are better served by the
-// streaming Reader (the engine makes that call); the cache still serves
-// them correctly, it just thrashes.
+// A slab is decoded once (single-flight per chunk) and pinned by a
+// refcount while held; unpinned slabs are evicted LRU-first once the
+// resident bytes exceed the cache's budget, and pinned slabs are never
+// reclaimed.
 
 import (
 	"fmt"
@@ -23,19 +18,11 @@ import (
 	"unsafe"
 
 	"repro/internal/emu"
-	"repro/internal/isa"
 )
 
 // slabRecordBytes is the in-memory cost of one decoded record, used to
 // charge slabs against the cache budget.
 const slabRecordBytes = int64(unsafe.Sizeof(emu.Record{}))
-
-// DecodedBytes is the trace's full decoded footprint: what keeping every
-// slab of this trace resident would cost. The engine compares it to the
-// slab budget when deciding between gang (slab) and streaming replay.
-func (t *Trace) DecodedBytes() int64 {
-	return int64(t.n) * slabRecordBytes
-}
 
 // chunkStartBoundary returns the boundary at chunk ci's first record.
 // Chunk starts always coincide with stored boundaries (chunkRecords is a
@@ -62,12 +49,12 @@ func (t *Trace) chunkLen(ci int) int {
 	return int(end - uint64(ci)*t.chunkRecs)
 }
 
-// DecodeChunk materializes chunk ci into dst (grown as needed),
-// returning the decoded records. The chunk's bytes are loaded — and,
-// for file-backed traces, checksum-verified — exactly once, and the
-// decode goes through the same Step logic every streaming Reader uses,
-// so the records are identical to what per-record replay would produce.
-func (t *Trace) DecodeChunk(ci int, dst []emu.Record) ([]emu.Record, error) {
+// decodeChunk materializes chunk ci's records. The chunk's bytes are
+// loaded — and, for file-backed traces, checksum-verified — exactly
+// once, and the decode goes through the same Step logic every streaming
+// Reader uses, so the records are identical to what per-record replay
+// would produce.
+func (t *Trace) decodeChunk(ci int) ([]emu.Record, error) {
 	if ci < 0 || ci >= len(t.chunks) {
 		return nil, fmt.Errorf("trace: decode of chunk %d (trace has %d): %w", ci, len(t.chunks), ErrCorruptChunk)
 	}
@@ -81,10 +68,7 @@ func (t *Trace) DecodeChunk(ci int, dst []emu.Record) ([]emu.Record, error) {
 	}
 	defer r.Release()
 	n := t.chunkLen(ci)
-	if cap(dst) < n {
-		dst = make([]emu.Record, n)
-	}
-	dst = dst[:n]
+	dst := make([]emu.Record, n)
 	got, err := r.StepBatch(dst)
 	if err != nil {
 		return nil, err
@@ -95,21 +79,18 @@ func (t *Trace) DecodeChunk(ci int, dst []emu.Record) ([]emu.Record, error) {
 	return dst, nil
 }
 
-// SlabStats snapshots the cache's counters.
-type SlabStats struct {
-	// Decodes counts chunks decoded into slabs; Hits counts acquisitions
-	// served from an already-decoded slab. Their ratio is the sharing
-	// factor gang replay achieves.
-	Decodes int
-	Hits    int
-	// DecodedRecords totals the dynamic records materialized by Decodes.
-	DecodedRecords uint64
-	// Evictions counts unpinned slabs reclaimed to stay inside the budget.
-	Evictions int
-	// Bytes is the current resident slab footprint; PeakBytes its maximum
-	// over the cache's lifetime (after each eviction pass settles).
-	Bytes     int64
-	PeakBytes int64
+// slabStats are the cache's counters.
+type slabStats struct {
+	// decodes counts chunks decoded into slabs; hits counts acquisitions
+	// served from an already-decoded slab.
+	decodes int
+	hits    int
+	// evictions counts unpinned slabs reclaimed to stay inside the budget.
+	evictions int
+	// bytes is the current resident slab footprint, which the budget
+	// bounds; peakBytes its maximum (after each eviction pass settles).
+	bytes     int64
+	peakBytes int64
 }
 
 // slabKey identifies one chunk of one pooled trace.
@@ -120,7 +101,7 @@ type slabKey struct {
 
 // Slab is one decoded chunk held by the cache. The record slice is
 // immutable after decode; holders pin it via SlabCache.Acquire and must
-// Release it when done.
+// Release it when done. Kept only for perfbench's probe.
 type Slab struct {
 	recs  []emu.Record
 	bytes int64
@@ -133,37 +114,24 @@ type Slab struct {
 	prev, next *Slab
 }
 
-// Records returns the slab's decoded records. Read-only: the slice is
-// shared by every gang member.
-func (s *Slab) Records() []emu.Record { return s.recs }
-
-// SlabCache shares decoded chunk slabs across concurrent simulations
-// under a byte budget. Decodes are single-flight per chunk; eviction is
-// LRU over unpinned slabs only, so budget pressure can never reclaim a
-// slab a cursor is still reading.
+// SlabCache shares decoded chunk slabs across concurrent holders under a
+// byte budget. Decodes are single-flight per chunk; eviction is LRU over
+// unpinned slabs only, so budget pressure can never reclaim a slab a
+// holder is still reading. Kept only for perfbench's probe.
 type SlabCache struct {
 	mu     sync.Mutex
 	budget int64
 	slabs  map[slabKey]*Slab
 	// lruHead/lruTail order unpinned decoded slabs, least recent first.
 	lruHead, lruTail *Slab
-	stats            SlabStats
+	stats            slabStats
 }
 
 // NewSlabCache returns a cache bounded (evictions permitting — pinned
-// slabs are never reclaimed) by budget bytes of decoded records.
+// slabs are never reclaimed) by budget bytes of decoded records. Kept
+// only for perfbench's probe.
 func NewSlabCache(budget int64) *SlabCache {
 	return &SlabCache{budget: budget, slabs: make(map[slabKey]*Slab)}
-}
-
-// Budget returns the cache's byte budget.
-func (c *SlabCache) Budget() int64 { return c.budget }
-
-// Stats returns a snapshot of the cache's counters.
-func (c *SlabCache) Stats() SlabStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // lruRemove unlinks s from the eviction list (no-op if not linked).
@@ -198,30 +166,30 @@ func (c *SlabCache) lruPush(s *Slab) {
 // evictLocked reclaims least-recently-used unpinned slabs until the
 // resident footprint fits the budget (or nothing evictable remains).
 func (c *SlabCache) evictLocked() {
-	for c.stats.Bytes > c.budget && c.lruHead != nil {
+	for c.stats.bytes > c.budget && c.lruHead != nil {
 		victim := c.lruHead
 		c.lruRemove(victim)
 		delete(c.slabs, victim.key)
-		c.stats.Bytes -= victim.bytes
-		c.stats.Evictions++
+		c.stats.bytes -= victim.bytes
+		c.stats.evictions++
 		victim.recs = nil
 	}
-	if c.stats.Bytes > c.stats.PeakBytes {
-		c.stats.PeakBytes = c.stats.Bytes
+	if c.stats.bytes > c.stats.peakBytes {
+		c.stats.peakBytes = c.stats.bytes
 	}
 }
 
 // Acquire returns chunk ci of t decoded, pinned against eviction until
 // the matching Release. The first caller decodes (checksum verified
 // once); concurrent callers for the same chunk wait on that decode
-// instead of duplicating it.
+// instead of duplicating it. Kept only for perfbench's probe.
 func (c *SlabCache) Acquire(t *Trace, ci int) (*Slab, error) {
 	key := slabKey{t, ci}
 	c.mu.Lock()
 	if s, ok := c.slabs[key]; ok {
 		s.refs++
 		c.lruRemove(s)
-		c.stats.Hits++
+		c.stats.hits++
 		c.mu.Unlock()
 		<-s.done
 		if s.err != nil {
@@ -236,7 +204,7 @@ func (c *SlabCache) Acquire(t *Trace, ci int) (*Slab, error) {
 	c.slabs[key] = s
 	c.mu.Unlock()
 
-	recs, err := t.DecodeChunk(ci, nil)
+	recs, err := t.decodeChunk(ci)
 
 	c.mu.Lock()
 	if err != nil {
@@ -248,9 +216,8 @@ func (c *SlabCache) Acquire(t *Trace, ci int) (*Slab, error) {
 	}
 	s.recs = recs
 	s.bytes = int64(len(recs)) * slabRecordBytes
-	c.stats.Decodes++
-	c.stats.DecodedRecords += uint64(len(recs))
-	c.stats.Bytes += s.bytes
+	c.stats.decodes++
+	c.stats.bytes += s.bytes
 	c.evictLocked()
 	close(s.done)
 	c.mu.Unlock()
@@ -259,8 +226,8 @@ func (c *SlabCache) Acquire(t *Trace, ci int) (*Slab, error) {
 
 // Release drops one pin on s. When the last pin drops the slab becomes
 // evictable (most-recently-used position); it stays resident until
-// budget pressure actually reclaims it, so the next gang member's
-// Acquire is a hit.
+// budget pressure actually reclaims it, so the next holder's Acquire is
+// a hit. Kept only for perfbench's probe.
 func (c *SlabCache) Release(s *Slab) {
 	if s == nil {
 		return
@@ -273,120 +240,3 @@ func (c *SlabCache) Release(s *Slab) {
 	}
 	c.mu.Unlock()
 }
-
-// DropTrace removes t's unpinned slabs from the cache — hygiene when the
-// engine drops a corrupt trace, so dead entries stop occupying budget.
-// Pinned slabs survive until their holders release them.
-func (c *SlabCache) DropTrace(t *Trace) {
-	c.mu.Lock()
-	for ci := 0; ci < len(t.chunks); ci++ {
-		key := slabKey{t, ci}
-		s, ok := c.slabs[key]
-		if !ok || s.refs > 0 {
-			continue
-		}
-		select {
-		case <-s.done:
-		default:
-			continue // decode in flight; its owner holds a pin anyway
-		}
-		c.lruRemove(s)
-		delete(c.slabs, key)
-		c.stats.Bytes -= s.bytes
-		s.recs = nil
-	}
-	c.mu.Unlock()
-}
-
-// SlabCursor streams a trace's decoded records window by window from a
-// SlabCache, pinning exactly one slab at a time. It implements
-// pipeline.SlabStream: the pipeline's slab source reads each window by
-// index, and calls NextWindow once per quarter-million records.
-type SlabCursor struct {
-	c    *SlabCache
-	t    *Trace
-	cur  *Slab
-	ci   int // next chunk to acquire
-	skip int // record offset into the first window (boundary starts)
-	end  bool
-}
-
-// NewSlabCursor returns a cursor over t's full record stream.
-func NewSlabCursor(c *SlabCache, t *Trace) (*SlabCursor, error) {
-	return NewSlabCursorAt(c, t, t.startBoundary())
-}
-
-// NewSlabCursorAt returns a cursor positioned at boundary b, exactly as
-// if it had already streamed b.Step records — the slab analogue of
-// NewReaderAt for segment warm starts.
-func NewSlabCursorAt(c *SlabCache, t *Trace, b Boundary) (*SlabCursor, error) {
-	if b.Step > t.n {
-		return nil, fmt.Errorf("trace: boundary step %d outside the trace (%d steps)", b.Step, t.n)
-	}
-	sc := &SlabCursor{c: c, t: t}
-	if b.Step == t.n {
-		sc.end = true
-		return sc, nil
-	}
-	if t.chunkRecs > 0 {
-		sc.ci = int(b.Step / t.chunkRecs)
-	}
-	if sc.ci >= len(t.chunks) {
-		return nil, fmt.Errorf("trace: boundary step %d has no chunk (%d chunks of %d records)", b.Step, len(t.chunks), t.chunkRecs)
-	}
-	sc.skip = int(b.Step - uint64(sc.ci)*t.chunkRecs)
-	return sc, nil
-}
-
-// NextWindow releases the current window and returns the next one,
-// reporting with last whether it is the trace's final window. After the
-// final window (or at a cursor opened at the trace's end) it returns
-// (nil, true, nil).
-func (sc *SlabCursor) NextWindow() ([]emu.Record, bool, error) {
-	if sc.cur != nil {
-		sc.c.Release(sc.cur)
-		sc.cur = nil
-	}
-	if sc.end || sc.ci >= len(sc.t.chunks) {
-		sc.end = true
-		return nil, true, nil
-	}
-	s, err := sc.c.Acquire(sc.t, sc.ci)
-	if err != nil {
-		sc.end = true
-		return nil, false, err
-	}
-	recs := s.Records()
-	if sc.skip > 0 {
-		if sc.skip > len(recs) {
-			sc.c.Release(s)
-			sc.end = true
-			return nil, false, errCorrupt
-		}
-		recs = recs[sc.skip:]
-		sc.skip = 0
-	}
-	sc.cur = s
-	sc.ci++
-	return recs, sc.ci >= len(sc.t.chunks), nil
-}
-
-// Release unpins the cursor's current slab. Idempotent; call when the
-// consumer stops before the trace's end (a consumer that streams to the
-// end may still call it — the final window's pin is dropped either way).
-func (sc *SlabCursor) Release() {
-	if sc.cur != nil {
-		sc.c.Release(sc.cur)
-		sc.cur = nil
-	}
-	sc.end = true
-}
-
-// Program returns the traced program.
-func (sc *SlabCursor) Program() *isa.Program { return sc.t.Program() }
-
-// Output returns the captured execution's Out values.
-func (sc *SlabCursor) Output() []int32 { return sc.t.Output() }
-
-// StateHash returns the captured execution's final architectural digest.
-func (sc *SlabCursor) StateHash() [32]byte { return sc.t.StateHash() }

@@ -55,9 +55,9 @@ func TestDecodeChunkMatchesReader(t *testing.T) {
 	want := readAll(t, tr, tr.startBoundary())
 	var got []emu.Record
 	for ci := 0; ci < tr.Chunks(); ci++ {
-		recs, err := tr.DecodeChunk(ci, nil)
+		recs, err := tr.decodeChunk(ci)
 		if err != nil {
-			t.Fatalf("DecodeChunk(%d): %v", ci, err)
+			t.Fatalf("decodeChunk(%d): %v", ci, err)
 		}
 		got = append(got, recs...)
 	}
@@ -108,90 +108,31 @@ func TestStepBatch(t *testing.T) {
 	}
 }
 
-// cursorAll drains a SlabCursor into a flat record slice.
-func cursorAll(t *testing.T, sc *SlabCursor) []emu.Record {
+// acquireAll reads tr's full record stream chunk by chunk through the
+// cache, holding exactly one slab at a time.
+func acquireAll(t *testing.T, c *SlabCache, tr *Trace) []emu.Record {
 	t.Helper()
-	defer sc.Release()
 	var recs []emu.Record
-	for {
-		win, last, err := sc.NextWindow()
+	for ci := 0; ci < tr.Chunks(); ci++ {
+		s, err := c.Acquire(tr, ci)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Acquire(%d): %v", ci, err)
 		}
-		recs = append(recs, win...)
-		if last {
-			return recs
-		}
+		recs = append(recs, s.recs...)
+		c.Release(s)
 	}
+	return recs
 }
 
-// TestSlabCursorMatchesReader checks the cursor's full-stream and
-// boundary-start (segment warm start) views against the Reader.
-func TestSlabCursorMatchesReader(t *testing.T) {
-	tr := captureBig(t)
-	cache := NewSlabCache(tr.DecodedBytes()) // ample: no eviction pressure
-
-	sc, err := NewSlabCursor(cache, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cursorAll(t, sc)
-	want := readAll(t, tr, tr.startBoundary())
-	if len(got) != len(want) {
-		t.Fatalf("cursor produced %d records, reader %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs: cursor %+v, reader %+v", i, got[i], want[i])
-		}
-	}
-
-	// Warm-start at every segment cut of a 4-way split, including cuts
-	// that land mid-chunk (boundaryInterval < chunkRecords guarantees
-	// most do): the cursor must skip into the first window precisely.
-	for _, seg := range tr.Segments(4) {
-		sc, err := NewSlabCursorAt(cache, tr, seg.Start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := cursorAll(t, sc)
-		want := readAll(t, tr, seg.Start)
-		if len(got) != len(want) {
-			t.Fatalf("segment %d: cursor produced %d records, reader %d", seg.Index, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("segment %d record %d differs: cursor %+v, reader %+v", seg.Index, i, got[i], want[i])
-			}
-		}
-	}
-
-	// A cursor opened at the trace's end yields one empty final window.
-	end, err := NewSlabCursorAt(cache, tr, tr.endBoundary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if win, last, err := end.NextWindow(); err != nil || !last || len(win) != 0 {
-		t.Fatalf("cursor at end = (%d records, last=%v, %v), want (0, true, nil)", len(win), last, err)
-	}
-
-	st := cache.Stats()
-	if st.Decodes != tr.Chunks() {
-		t.Fatalf("cache decoded %d chunks for %d-chunk trace under ample budget, want exactly one decode per chunk", st.Decodes, tr.Chunks())
-	}
-	if st.Hits == 0 {
-		t.Fatal("repeated cursors produced no slab hits")
-	}
-	if st.Evictions != 0 {
-		t.Fatalf("ample-budget cache evicted %d slabs, want 0", st.Evictions)
-	}
-	if st.PeakBytes > tr.DecodedBytes() {
-		t.Fatalf("peak slab bytes %d exceed the trace's decoded footprint %d", st.PeakBytes, tr.DecodedBytes())
-	}
+// statsOf snapshots c's counters.
+func statsOf(c *SlabCache) slabStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
 }
 
-// TestSlabCacheEvictionUnderConcurrentGangs is the satellite's pinning
-// test: several goroutines (a gang) replay the same trace through one
+// TestSlabCacheEvictionUnderConcurrentGangs pins the cache's refcount
+// contract: several goroutines read the same trace through one
 // budget-constrained cache, racing acquire/release/evict. Refcount
 // pinning means no worker ever observes a reclaimed slab — every worker
 // must still see the byte-exact record stream — and the budget holds:
@@ -212,29 +153,22 @@ func TestSlabCacheEvictionUnderConcurrentGangs(t *testing.T) {
 		wg.Add(1)
 		go func(w int) { //ce:nondet-ok test-only concurrency: races the cache on purpose; every interleaving must yield the same byte-exact stream
 			defer wg.Done()
-			sc, err := NewSlabCursor(cache, tr)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer sc.Release()
 			pos := 0
-			for {
-				win, last, err := sc.NextWindow()
+			for ci := 0; ci < tr.Chunks(); ci++ {
+				s, err := cache.Acquire(tr, ci)
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				for i := range win {
-					if win[i] != want[pos] {
+				for i := range s.recs {
+					if pos >= len(want) || s.recs[i] != want[pos] {
+						cache.Release(s)
 						errs[w] = errors.New("record stream diverged from reference replay")
 						return
 					}
 					pos++
 				}
-				if last {
-					break
-				}
+				cache.Release(s)
 			}
 			if pos != len(want) {
 				errs[w] = errors.New("short replay")
@@ -248,24 +182,21 @@ func TestSlabCacheEvictionUnderConcurrentGangs(t *testing.T) {
 		}
 	}
 
-	st := cache.Stats()
-	if st.PeakBytes > budget {
-		t.Fatalf("peak slab bytes %d exceed the budget %d", st.PeakBytes, budget)
+	st := statsOf(cache)
+	if st.peakBytes > budget {
+		t.Fatalf("peak slab bytes %d exceed the budget %d", st.peakBytes, budget)
 	}
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions with budget %d over a %d-byte decoded trace; the test is not exercising eviction", budget, tr.DecodedBytes())
+	if st.evictions == 0 {
+		t.Fatalf("no evictions with budget %d over a %d-chunk trace; the test is not exercising eviction", budget, tr.Chunks())
 	}
-	if st.Decodes+st.Hits != workers*tr.Chunks() {
-		t.Fatalf("decodes %d + hits %d ≠ %d acquisitions", st.Decodes, st.Hits, workers*tr.Chunks())
+	if st.decodes+st.hits != workers*tr.Chunks() {
+		t.Fatalf("decodes %d + hits %d ≠ %d acquisitions", st.decodes, st.hits, workers*tr.Chunks())
 	}
-	if st.Decodes < tr.Chunks() {
-		t.Fatalf("decoded %d chunks, trace has %d", st.Decodes, tr.Chunks())
+	if st.decodes < tr.Chunks() {
+		t.Fatalf("decoded %d chunks, trace has %d", st.decodes, tr.Chunks())
 	}
-	if st.DecodedRecords < tr.Steps() {
-		t.Fatalf("decoded %d records, trace has %d", st.DecodedRecords, tr.Steps())
-	}
-	t.Logf("gang of %d over %d chunks: %d decodes, %d hits, %d evictions, peak %d/%d bytes",
-		workers, tr.Chunks(), st.Decodes, st.Hits, st.Evictions, st.PeakBytes, budget)
+	t.Logf("%d workers over %d chunks: %d decodes, %d hits, %d evictions, peak %d/%d bytes",
+		workers, tr.Chunks(), st.decodes, st.hits, st.evictions, st.peakBytes, budget)
 }
 
 // TestSlabCacheTinyBudget drives the degenerate budget: every release
@@ -274,29 +205,26 @@ func TestSlabCacheEvictionUnderConcurrentGangs(t *testing.T) {
 func TestSlabCacheTinyBudget(t *testing.T) {
 	tr := captureBig(t)
 	cache := NewSlabCache(1)
-	sc, err := NewSlabCursor(cache, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cursorAll(t, sc)
+	got := acquireAll(t, cache, tr)
 	if uint64(len(got)) != tr.Steps() {
-		t.Fatalf("replayed %d records, want %d", len(got), tr.Steps())
+		t.Fatalf("read %d records, want %d", len(got), tr.Steps())
 	}
-	st := cache.Stats()
-	if st.Evictions != tr.Chunks() {
-		t.Fatalf("tiny budget evicted %d slabs, want one per chunk (%d)", st.Evictions, tr.Chunks())
+	st := statsOf(cache)
+	if st.evictions != tr.Chunks() {
+		t.Fatalf("tiny budget evicted %d slabs, want one per chunk (%d)", st.evictions, tr.Chunks())
 	}
-	if st.PeakBytes > int64(chunkRecords)*slabRecordBytes {
-		t.Fatalf("peak %d bytes exceeds one slab; eviction is not keeping up", st.PeakBytes)
+	if st.peakBytes > int64(chunkRecords)*slabRecordBytes {
+		t.Fatalf("peak %d bytes exceeds one slab; eviction is not keeping up", st.peakBytes)
 	}
-	if st.Bytes != 0 {
-		t.Fatalf("%d resident bytes after the cursor released everything, want 0", st.Bytes)
+	if st.bytes != 0 {
+		t.Fatalf("%d resident bytes after every slab was released, want 0", st.bytes)
 	}
 }
 
-// TestSlabCacheFileBacked repeats the sharing check against a file-backed
-// trace: the checksum-verify-on-every-load cost the slab layer exists to
-// remove must not change the records it produces.
+// TestSlabCacheFileBacked checks the cache against a file-backed trace:
+// the records equal the streaming Reader's, and under an ample budget a
+// second pass is served entirely from resident slabs — one decode per
+// chunk, no evictions, peak no larger than the trace's decoded records.
 func TestSlabCacheFileBacked(t *testing.T) {
 	p := mustProgram(t, "compress.big")
 	tr, err := CaptureToDir(p, maxInsts, t.TempDir())
@@ -305,21 +233,27 @@ func TestSlabCacheFileBacked(t *testing.T) {
 	}
 	defer tr.Close()
 	want := readAll(t, tr, tr.startBoundary())
-	cache := NewSlabCache(tr.DecodedBytes())
-	sc, err := NewSlabCursor(cache, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cursorAll(t, sc)
-	if len(got) != len(want) {
-		t.Fatalf("cursor produced %d records, reader %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs: cursor %+v, reader %+v", i, got[i], want[i])
+	decoded := int64(tr.Steps()) * slabRecordBytes
+	cache := NewSlabCache(decoded) // ample: no eviction pressure
+	for pass := 0; pass < 2; pass++ {
+		got := acquireAll(t, cache, tr)
+		if len(got) != len(want) {
+			t.Fatalf("pass %d: cache produced %d records, reader %d", pass, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("pass %d record %d differs: cache %+v, reader %+v", pass, i, got[i], want[i])
+			}
 		}
 	}
-	if st := cache.Stats(); st.Decodes != tr.Chunks() {
-		t.Fatalf("file-backed cache decoded %d chunks, want %d", st.Decodes, tr.Chunks())
+	st := statsOf(cache)
+	if st.decodes != tr.Chunks() || st.hits != tr.Chunks() {
+		t.Fatalf("two passes over %d chunks: %d decodes, %d hits; want one decode and one hit per chunk", tr.Chunks(), st.decodes, st.hits)
+	}
+	if st.evictions != 0 {
+		t.Fatalf("ample-budget cache evicted %d slabs, want 0", st.evictions)
+	}
+	if st.peakBytes > decoded {
+		t.Fatalf("peak slab bytes %d exceed the trace's decoded footprint %d", st.peakBytes, decoded)
 	}
 }

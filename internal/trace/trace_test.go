@@ -102,7 +102,7 @@ func TestPackedDensity(t *testing.T) {
 	t.Logf("compress: %d insts, %d packed bytes (%.3f bytes/inst)", tr.Steps(), tr.PackedBytes(), bpi)
 }
 
-func mustProgram(t *testing.T, name string) *isa.Program {
+func mustProgram(t testing.TB, name string) *isa.Program {
 	t.Helper()
 	w, err := prog.ByName(name)
 	if err != nil {

@@ -33,7 +33,7 @@ func eqStats(t *testing.T, label string, got, want Stats) {
 // runs must carry Exact segment metrics.
 func TestEngineSegmentedExactMatchesMonolithic(t *testing.T) {
 	cfgs := []Config{BaselineConfig(), DependenceConfig()}
-	ws := []string{"micro.branchy"}
+	ws := []string{"micro.branchy", "compress"}
 
 	mono := NewEngine()
 	want, err := mono.RunMatrix(cfgs, ws)
@@ -47,14 +47,16 @@ func TestEngineSegmentedExactMatchesMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ci := range cfgs {
-		eqStats(t, cfgs[ci].Name, got[ci][0], want[ci][0])
+		for wi := range ws {
+			eqStats(t, cfgs[ci].Name+"/"+ws[wi], got[ci][wi], want[ci][wi])
+		}
 	}
 	ts := seg.TraceStats()
-	if ts.SegmentRuns != len(cfgs) {
-		t.Errorf("segment runs = %d, want %d", ts.SegmentRuns, len(cfgs))
+	if runs := len(cfgs) * len(ws); ts.SegmentRuns != runs {
+		t.Errorf("segment runs = %d, want %d", ts.SegmentRuns, runs)
 	}
-	if ts.SegmentsSimulated < 2*len(cfgs) {
-		t.Errorf("segments simulated = %d, want ≥ %d", ts.SegmentsSimulated, 2*len(cfgs))
+	if ts.SegmentsSimulated < 2*len(cfgs)*len(ws) {
+		t.Errorf("segments simulated = %d, want ≥ %d", ts.SegmentsSimulated, 2*len(cfgs)*len(ws))
 	}
 	for _, m := range seg.Metrics() {
 		if m.Segments == nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/runcache"
-	"repro/internal/trace"
 )
 
 // RunMetrics records the observability data for one simulation run (or
@@ -43,10 +42,6 @@ type RunMetrics struct {
 	// pre-captured trace from the engine's trace pool instead of lockstep
 	// functional execution (false for cached results).
 	Replayed bool `json:"replayed,omitempty"`
-	// Ganged reports that the replay read shared decoded slabs (gang
-	// replay) instead of streaming a private reader. The statistics are
-	// byte-identical either way; only the host cost differs.
-	Ganged bool `json:"ganged,omitempty"`
 	// CaptureSeconds is the time this run spent performing its workload's
 	// one-time trace capture — reported only by the run that owned the
 	// capture, so summing it across a sweep counts each capture once.
@@ -55,7 +50,7 @@ type RunMetrics struct {
 	// simulation cost.
 	CaptureSeconds float64 `json:"capture_seconds,omitempty"`
 	// CaptureWaitSeconds is time spent blocked on a capture owned (and
-	// reported) by another run — the other gang members' view of the same
+	// reported) by another run — the concurrent runs' view of the same
 	// capture. Also excluded from WallSeconds.
 	CaptureWaitSeconds float64 `json:"capture_wait_seconds,omitempty"`
 	// Segments describes the segment-parallel plan this run used, when
@@ -100,13 +95,6 @@ type Engine struct {
 	segSample   int
 	segAdaptive bool
 	segPhases   int
-
-	// Gang replay (tracepool.go): concurrent replay runs of one workload
-	// share decoded chunk slabs through one engine-global cache, created
-	// lazily at the first gang run. Guarded by traceMu.
-	noGang     bool
-	slabBudget int64
-	slabs      *trace.SlabCache
 }
 
 // NewEngine returns an Engine with an empty in-memory run cache.
@@ -226,7 +214,6 @@ func (e *Engine) runOne(cfg Config, workload string) (Stats, RunMetrics, error) 
 		HostWallSeconds: st.HostWallSeconds,
 
 		Replayed:           attr.replayed,
-		Ganged:             attr.ganged,
 		CaptureSeconds:     attr.captureSeconds,
 		CaptureWaitSeconds: attr.captureWait,
 		Segments:           attr.segments,
@@ -292,9 +279,9 @@ func (e *Engine) RunMatrix(cfgs []Config, workloads []string) ([][]Stats, error)
 			}
 		}()
 	}
-	// Dispatch workload-major: one workload's configurations fly together
-	// as a gang, sharing the workload's decoded slabs (and its capture)
-	// while they are resident, instead of touching each workload once per
+	// Dispatch workload-major: one workload's configurations run together
+	// and share its single capture (or disk load) while the pooled trace
+	// is fresh, instead of every workload being touched once per
 	// configuration. Error precedence stays row-major (configs outer) via
 	// the recorded index, so the reported failure is independent of
 	// dispatch order.

@@ -239,13 +239,6 @@ func TestEngineCorruptTraceRecaptured(t *testing.T) {
 func testCorruptTraceRecaptured(t *testing.T, segments int) {
 	eng := NewEngine()
 	eng.SetSegments(segments)
-	// Streaming replay re-reads (and re-verifies) chunks from disk on
-	// every run, so it observes the corruption this test injects after
-	// the first run. Gang replay would legitimately mask it: the chunk
-	// was verified at its one decode and the resident slab stays good —
-	// TestEngineGangCorruptTraceRecaptured covers the gang recovery path
-	// with a cold cache instead.
-	eng.SetGangReplay(false)
 	dir := t.TempDir()
 	if err := eng.SetTraceDir(dir); err != nil {
 		t.Fatal(err)
@@ -295,55 +288,6 @@ func testCorruptTraceRecaptured(t *testing.T, segments int) {
 	}
 }
 
-// TestEngineGangCorruptTraceRecaptured pins corrupt-chunk recovery on
-// the gang path: a trace whose on-disk bytes rot before any slab is
-// decoded fails its checksum during the gang's single decode, is
-// dropped and invalidated, and the run recaptures and retries — same
-// contract as streaming replay, detected once per chunk instead of once
-// per config.
-func TestEngineGangCorruptTraceRecaptured(t *testing.T) {
-	for _, segments := range []int{0, 4} {
-		seed := NewEngine()
-		dir := t.TempDir()
-		if err := seed.SetTraceDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := seed.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
-			t.Fatal(err)
-		}
-		rotFirstChunk(t, dir, "micro.branchy")
-
-		// A fresh engine loads the rotten file lazily; the gang's first
-		// slab decode trips the checksum.
-		eng := NewEngine()
-		eng.SetSegments(segments)
-		if err := eng.SetTraceDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		lock := NewEngine()
-		lock.SetTraceReplay(false)
-		want, err := lock.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"})
-		if err != nil {
-			t.Fatalf("segments=%d: %v", segments, err)
-		}
-		if got[0][0].Cycles != want[0][0].Cycles {
-			t.Errorf("segments=%d: recaptured gang run diverges: %d cycles vs %d", segments, got[0][0].Cycles, want[0][0].Cycles)
-		}
-		ts := eng.TraceStats()
-		if ts.CorruptDropped != 1 || ts.DiskHits != 1 || ts.Captures != 1 {
-			t.Errorf("segments=%d: recovery accounting: CorruptDropped=%d DiskHits=%d Captures=%d, want 1/1/1",
-				segments, ts.CorruptDropped, ts.DiskHits, ts.Captures)
-		}
-		if ts.GangRuns != 1 {
-			t.Errorf("segments=%d: GangRuns = %d, want 1", segments, ts.GangRuns)
-		}
-	}
-}
-
 // rotFirstChunk flips one byte inside the first chunk's packed records
 // of workload's trace file in dir (the file header is 40 bytes),
 // invalidating that chunk's checksum but nothing else.
@@ -368,7 +312,7 @@ func rotFirstChunk(t *testing.T, dir, workload string) {
 }
 
 // replayPanel is the verification panel without its wrong-path
-// configurations: those cannot replay a trace, so they never gang.
+// configurations: those cannot replay a trace, so they run lockstep.
 func replayPanel() []Config {
 	var cfgs []Config
 	for _, cfg := range benchPanel() {
@@ -380,12 +324,13 @@ func replayPanel() []Config {
 }
 
 // TestEngineConcurrentCorruptDropCountedOnce pins the corrupt-drop
-// accounting under concurrency: N configurations replaying one rotten
-// trace at once all trip its checksum, but the trace is dropped (and
-// counted) once, recaptured once, and every run's statistics equal a
-// clean engine's. Run under -race it also checks the drop for tearing.
-// The recaptured file must survive the late drops: a fresh engine
-// loads it from disk.
+// accounting under concurrency: N configurations streaming one rotten
+// trace at once, each through its own Reader (monolithic) or its
+// segment workers' Readers (4 segments), all trip its checksum, but the
+// trace is dropped (and counted) once, recaptured once, and every run's
+// statistics equal a clean engine's. Run under -race it also checks the
+// drop for tearing. The recaptured file must survive the late drops: a
+// fresh engine loads it from disk.
 func TestEngineConcurrentCorruptDropCountedOnce(t *testing.T) {
 	const workload = "micro.branchy"
 	cfgs := replayPanel()
@@ -449,145 +394,70 @@ func TestEngineConcurrentCorruptDropCountedOnce(t *testing.T) {
 	}
 }
 
-// TestEngineGangEquivalence pins the gang-replay contract at the engine
-// level: a matrix run with gang replay (the default) and one with it
-// disabled produce identical simulation results, the ganged engine
-// counts its runs and slab sharing, and the decoded-record totals are
-// exactly the trace lengths (ganged) and #configs × trace lengths
-// (streamed).
-func TestEngineGangEquivalence(t *testing.T) {
-	cfgs := []Config{BaselineConfig(), DependenceConfig(), FourWayConfig()}
+// TestEngineStreamedDecodeAccounting pins replay's decode accounting:
+// every replay run streams its trace through a private Reader, so a
+// matrix decodes exactly #configs × the summed trace lengths, every
+// fresh run is marked replayed, and the slab counters kept for the
+// benchmark stay 0. Lockstep equivalence of the results is
+// TestEngineTracePoolEquivalence's job.
+func TestEngineStreamedDecodeAccounting(t *testing.T) {
+	cfgs := replayPanel()
 	workloads := []string{"compress", "micro.branchy"}
-
-	gangEng := NewEngine()
-	streamEng := NewEngine()
-	streamEng.SetGangReplay(false)
-
-	got, err := gangEng.RunMatrix(cfgs, workloads)
-	if err != nil {
+	eng := NewEngine()
+	if _, err := eng.RunMatrix(cfgs, workloads); err != nil {
 		t.Fatal(err)
 	}
-	want, err := streamEng.RunMatrix(cfgs, workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
-		for j := range workloads {
-			a, b := got[i][j], want[i][j]
-			if a.IssuedPerCycle.Total() != b.IssuedPerCycle.Total() ||
-				a.IssuedPerCycle.Mean() != b.IssuedPerCycle.Mean() {
-				t.Errorf("%s/%s: issue histograms diverge", cfgs[i].Name, workloads[j])
-			}
-			a.HostAllocs, b.HostAllocs = 0, 0
-			a.HostWallSeconds, b.HostWallSeconds = 0, 0
-			a.IssuedPerCycle, b.IssuedPerCycle = nil, nil
-			if a != b {
-				t.Errorf("%s/%s: ganged stats diverge from streaming replay:\n  %+v\n  %+v",
-					cfgs[i].Name, workloads[j], a, b)
-			}
-		}
-	}
-
-	gts := gangEng.TraceStats()
-	if gts.GangRuns != len(cfgs)*len(workloads) {
-		t.Errorf("GangRuns = %d, want %d", gts.GangRuns, len(cfgs)*len(workloads))
-	}
-	if gts.SlabDecodes == 0 {
-		t.Error("ganged sweep decoded no slabs")
-	}
-	if gts.SlabHits == 0 {
-		t.Error("ganged sweep shared no slabs (every acquisition decoded)")
-	}
-	sts := streamEng.TraceStats()
-	if sts.GangRuns != 0 || sts.SlabDecodes != 0 {
-		t.Errorf("gang-disabled engine touched the slab cache: %+v", sts)
-	}
-	// Exact decode accounting: the gang decodes each chunk once, so it
-	// decodes every trace exactly once; streaming replay decodes every
-	// trace once per configuration.
 	var steps uint64
 	for _, w := range workloads {
-		tr, err := gangEng.traceFor(w)
+		tr, err := eng.traceFor(w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		steps += tr.Steps()
 	}
-	if gts.RecordsDecoded != steps {
-		t.Errorf("ganged sweep decoded %d records, want exactly the summed trace lengths %d",
-			gts.RecordsDecoded, steps)
-	}
-	if want := uint64(len(cfgs)) * steps; sts.RecordsDecoded != want {
+	ts := eng.TraceStats()
+	if want := uint64(len(cfgs)) * steps; ts.RecordsDecoded != want {
 		t.Errorf("streamed sweep decoded %d records, want %d (configs x summed trace lengths)",
-			sts.RecordsDecoded, want)
+			ts.RecordsDecoded, want)
 	}
-	if gts.SlabPeakBytes <= 0 {
-		t.Errorf("slab peak bytes = %d, want > 0", gts.SlabPeakBytes)
+	if ts.SlabDecodes != 0 || ts.SlabHits != 0 || ts.SlabPeakBytes != 0 {
+		t.Errorf("slab counters = %d decodes, %d hits, %d peak bytes; want all 0",
+			ts.SlabDecodes, ts.SlabHits, ts.SlabPeakBytes)
 	}
-	for _, m := range gangEng.Metrics() {
-		if !m.Cached && !m.Ganged {
-			t.Errorf("%s/%s: fresh run not marked ganged", m.Config, m.Workload)
+	if want := len(cfgs) * len(workloads); ts.ReplayRuns != want || ts.LockstepRuns != 0 {
+		t.Errorf("ReplayRuns/LockstepRuns = %d/%d, want %d/0", ts.ReplayRuns, ts.LockstepRuns, want)
+	}
+	for _, m := range eng.Metrics() {
+		if !m.Cached && !m.Replayed {
+			t.Errorf("%s/%s: fresh run not marked replayed", m.Config, m.Workload)
 		}
 	}
 }
 
-// TestGangBench pins gang replay's decode saving over the whole
-// replay-capable panel on one workload: the ganged sweep decodes the
-// trace exactly once and the gang-disabled sweep once per
-// configuration, so the reduction equals the panel size, and the gang
-// both decodes and shares slabs.
-func TestGangBench(t *testing.T) {
+// TestEngineConcurrentSingleCapture pins capture attribution: when N
+// configurations race over one uncaptured workload, the workload is
+// captured once and the cost is charged to exactly one run's
+// CaptureSeconds; the others report only wait time
+// (CaptureWaitSeconds), so summing CaptureSeconds across a sweep counts
+// each capture once.
+func TestEngineConcurrentSingleCapture(t *testing.T) {
 	const workload = "micro.branchy"
 	cfgs := replayPanel()
-	if len(cfgs) < 2 {
-		t.Fatalf("panel has %d replay-capable configs; need >= 2 for a gang", len(cfgs))
-	}
-	sweep := func(gang bool) TraceStats {
-		t.Helper()
-		eng := NewEngine()
-		eng.SetGangReplay(gang)
-		if _, err := eng.RunMatrix(cfgs, []string{workload}); err != nil {
-			t.Fatal(err)
-		}
-		return eng.TraceStats()
-	}
-	gts, sts := sweep(true), sweep(false)
-	tr, err := NewEngine().traceFor(workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := tr.Steps()
-	if steps == 0 {
-		t.Fatal("zero steps")
-	}
-	if gts.RecordsDecoded != steps {
-		t.Errorf("ganged sweep decoded %d records, want exactly the trace length %d",
-			gts.RecordsDecoded, steps)
-	}
-	if want := steps * uint64(len(cfgs)); sts.RecordsDecoded != want {
-		t.Errorf("gang-disabled sweep decoded %d records, want %d (configs x steps)",
-			sts.RecordsDecoded, want)
-	}
-	if gts.SlabDecodes == 0 || gts.SlabHits == 0 {
-		t.Errorf("ganged sweep: %d slab decodes, %d hits; want both > 0",
-			gts.SlabDecodes, gts.SlabHits)
-	}
-	if gts.SlabPeakBytes <= 0 {
-		t.Errorf("slab peak bytes = %d, want > 0", gts.SlabPeakBytes)
-	}
-}
-
-// TestEngineGangSingleCapture pins the capture-attribution fix: when a
-// gang of configurations races over one uncaptured workload, the
-// capture happens once and is charged to exactly one run's
-// CaptureSeconds; the other gang members report only wait time
-// (CaptureWaitSeconds), so summing CaptureSeconds across the sweep
-// counts each capture once instead of once per gang member.
-func TestEngineGangSingleCapture(t *testing.T) {
 	eng := NewEngine()
-	cfgs := []Config{BaselineConfig(), DependenceConfig()}
-	if _, err := eng.RunMatrix(cfgs, []string{"micro.branchy"}); err != nil {
-		t.Fatal(err)
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, errs[i] = eng.RunOne(cfg, workload)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", cfgs[i].Name, err)
+		}
 	}
 	if ts := eng.TraceStats(); ts.Captures != 1 {
 		t.Fatalf("Captures = %d, want 1", ts.Captures)
@@ -607,42 +477,5 @@ func TestEngineGangSingleCapture(t *testing.T) {
 	}
 	if owners != 1 {
 		t.Errorf("%d runs report owned capture time, want exactly 1", owners)
-	}
-}
-
-// TestEngineGangSegmented checks the two-axis gang end to end: a
-// segment-parallel exact run with slabs stitches bit-identical to the
-// monolithic gang run (they share a run-cache key, so use separate
-// engines) and is accounted as both a segment run and a gang run.
-func TestEngineGangSegmented(t *testing.T) {
-	segEng := NewEngine()
-	segEng.SetSegments(4)
-	monoEng := NewEngine()
-	cfgs := []Config{BaselineConfig()}
-	workloads := []string{"compress"}
-	seg, err := segEng.RunMatrix(cfgs, workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mono, err := monoEng.RunMatrix(cfgs, workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := seg[0][0], mono[0][0]
-	if a.IssuedPerCycle.Total() != b.IssuedPerCycle.Total() {
-		t.Error("issue histograms diverge between segmented and monolithic gang runs")
-	}
-	a.HostAllocs, b.HostAllocs = 0, 0
-	a.HostWallSeconds, b.HostWallSeconds = 0, 0
-	a.IssuedPerCycle, b.IssuedPerCycle = nil, nil
-	if a != b {
-		t.Errorf("segmented gang stats diverge from monolithic:\n  %+v\n  %+v", a, b)
-	}
-	ts := segEng.TraceStats()
-	if ts.SegmentRuns != 1 || ts.GangRuns != 1 {
-		t.Errorf("segmented gang accounting: SegmentRuns=%d GangRuns=%d, want 1/1", ts.SegmentRuns, ts.GangRuns)
-	}
-	if ts.SlabHits == 0 {
-		t.Error("segment workers shared no slabs")
 	}
 }
