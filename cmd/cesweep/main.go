@@ -35,17 +35,15 @@
 // Segment-parallel simulation shards each trace into K segments timed
 // independently across CPUs and stitches the results:
 //
-//	-segments K         cut each trace into K segments (0 = monolithic)
-//	-warmup N           per-segment warmup prefix in instructions;
-//	                    -1 (default) replays the full prefix, making the
-//	                    stitched result bit-identical to the monolithic
-//	                    run; 'adaptive' starts each segment cold and
-//	                    discards its leading windows until IPC converges
-//	-sample N           simulate every Nth segment and extrapolate the
-//	                    rest (approximate, reported with error bars);
-//	                    'phase' clusters segments by their basic-block
-//	                    vectors and times one representative per cluster
-//	-phases K           maximum behavior clusters for -sample=phase
+//	-segments K         cut each trace into K segments (0 = monolithic);
+//	                    every segment replays its full prefix, so the
+//	                    stitched result is bit-identical to the
+//	                    monolithic run
+//	-phases K           phase-sample instead: cluster the segments into at
+//	                    most K phases by their basic-block vectors and time
+//	                    one representative per phase, starting cold and
+//	                    discarding its leading windows until IPC converges
+//	                    (approximate, reported with error bars; 0 = exact)
 //
 // Profiling flags for working on the simulator itself (perfbench/run.sh
 // is the repo's repeated, oracle-checked performance measurement):
@@ -61,7 +59,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 
 	"repro"
 	"repro/internal/canonjson"
@@ -86,9 +83,7 @@ var (
 	traceDir   = flag.String("trace-dir", "", "persist captured execution traces under this directory")
 	noReplay   = flag.Bool("no-trace-replay", false, "drive every simulation by lockstep execution instead of shared trace replay")
 	segments   = flag.Int("segments", 0, "cut each trace into this many segments timed in parallel (0 = monolithic)")
-	segWarmup  = flag.String("warmup", "-1", "per-segment warmup: instruction count (-1 = full prefix, exact stitching) or 'adaptive' (per-segment IPC-convergence detection)")
-	segSample  = flag.String("sample", "1", "segment sampling: simulate every Nth segment and extrapolate (N), or 'phase' (time one representative per behavior cluster, weighted by cluster mass)")
-	segPhases  = flag.Int("phases", 8, "maximum behavior clusters for -sample=phase")
+	segPhases  = flag.Int("phases", 0, "phase-sample segmented runs: time one representative of at most this many behavior clusters (0 = exact, every segment)")
 	cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprof    = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 )
@@ -162,24 +157,7 @@ func setupObservability() (func() error, error) {
 	}
 	eng.SetTraceReplay(!*noReplay)
 	eng.SetSegments(*segments)
-	if *segWarmup == "adaptive" {
-		eng.SetSegmentAdaptive(true)
-	} else {
-		w, err := strconv.ParseInt(*segWarmup, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("-warmup: %q is neither an instruction count nor 'adaptive'", *segWarmup)
-		}
-		eng.SetSegmentWarmup(w)
-	}
-	if *segSample == "phase" {
-		eng.SetSegmentPhases(*segPhases)
-	} else {
-		n, err := strconv.Atoi(*segSample)
-		if err != nil {
-			return nil, fmt.Errorf("-sample: %q is neither a stride nor 'phase'", *segSample)
-		}
-		eng.SetSegmentSample(n)
-	}
+	eng.SetSegmentPhases(*segPhases)
 	for _, path := range []string{*metrics, *metricsDet} {
 		if path == "" {
 			continue

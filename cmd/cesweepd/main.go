@@ -21,6 +21,11 @@
 // exactly one of them and read from disk by the rest. -cache-max bounds
 // the warm in-memory tier; evicted results reload from the directory.
 //
+// -segments K shards each run's trace into K segments stitched exactly,
+// as in cesweep; adding -phases k phase-samples them instead (one timed
+// representative per behavior cluster, an estimate under its own
+// run-cache key).
+//
 // A client that stalls while sending a request header is disconnected
 // after 5 s, and an idle keep-alive connection after 2 minutes; neither
 // timeout is a flag.
@@ -40,7 +45,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -68,9 +72,7 @@ var (
 	noReplay        = flag.Bool("no-trace-replay", false, "drive every simulation by lockstep execution instead of trace replay")
 	pprofAddr       = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled. Never exposed on the serving port")
 	segments        = flag.Int("segments", 0, "cut each trace into this many segments timed in parallel (0 = monolithic)")
-	segWarmup       = flag.String("warmup", "-1", "per-segment warmup: instruction count (-1 = full prefix, exact stitching) or 'adaptive'")
-	segSample       = flag.String("sample", "1", "segment sampling: every Nth segment (N) or 'phase' (one representative per behavior cluster)")
-	segPhases       = flag.Int("phases", 8, "maximum behavior clusters for -sample=phase")
+	segPhases       = flag.Int("phases", 0, "phase-sample segmented runs: time one representative of at most this many behavior clusters (0 = exact, every segment)")
 	shutdownTimeout = flag.Duration("shutdown-timeout", 2*time.Minute, "max time to drain in-flight requests on SIGINT/SIGTERM")
 	quiet           = flag.Bool("quiet", false, "suppress per-request log lines")
 )
@@ -104,24 +106,7 @@ func run() error {
 	eng.SetCacheLimit(*cacheMax)
 	eng.SetTraceReplay(!*noReplay)
 	eng.SetSegments(*segments)
-	if *segWarmup == "adaptive" {
-		eng.SetSegmentAdaptive(true)
-	} else {
-		w, err := strconv.ParseInt(*segWarmup, 10, 64)
-		if err != nil {
-			return fmt.Errorf("-warmup: %q is neither an instruction count nor 'adaptive'", *segWarmup)
-		}
-		eng.SetSegmentWarmup(w)
-	}
-	if *segSample == "phase" {
-		eng.SetSegmentPhases(*segPhases)
-	} else {
-		n, err := strconv.Atoi(*segSample)
-		if err != nil {
-			return fmt.Errorf("-sample: %q is neither a stride nor 'phase'", *segSample)
-		}
-		eng.SetSegmentSample(n)
-	}
+	eng.SetSegmentPhases(*segPhases)
 
 	var opts server.Options
 	if !*quiet {

@@ -3,17 +3,17 @@ package pipeline
 // Segment runs: boot a Simulator from a trace boundary, discard a
 // warmup prefix, measure a window, and return the window's Stats delta.
 //
-// The exactness argument for full warmup (warmup < 0) is telescoping:
-// the run loop stops at the first cycle boundary on which the committed
-// count has crossed the target, so a full-warmup segment run is the
-// *identical* deterministic simulation as the monolithic run, merely
-// snapshotted at two extra points. Every Stats counter is cumulative
-// and monotone, so the per-segment deltas of consecutive segments share
-// their interior snapshots and sum — exactly, field for field, bucket
-// for bucket — to the monolithic totals. With finite warmup the
-// predictor, caches and window state are only approximately warm at the
-// measurement boundary and the stitched result is an estimate; the
-// sampled mode in the root package puts confidence intervals on it.
+// The exactness argument for full warmup is telescoping: the run loop
+// stops at the first cycle boundary on which the committed count has
+// crossed the target, so a full-warmup segment run is the *identical*
+// deterministic simulation as the monolithic run, merely snapshotted at
+// two extra points. Every Stats counter is cumulative and monotone, so
+// the per-segment deltas of consecutive segments share their interior
+// snapshots and sum — exactly, field for field, bucket for bucket — to
+// the monolithic totals. Under adaptive warmup the predictor, caches
+// and window state are only approximately warm at the measurement
+// boundary and the result is an estimate; the phase-sampled plan in the
+// root package puts confidence intervals on it.
 
 import (
 	"fmt"
@@ -58,71 +58,43 @@ func (s *Simulator) RunUntilCommitted(target uint64, maxCycles int64) (Stats, er
 }
 
 // SegmentOpts selects how a segment run warms microarchitectural state
-// before its measurement window opens.
+// before its measurement window opens. The zero value replays the full
+// prefix from the trace start: the exact plan.
 type SegmentOpts struct {
-	// Warmup is the fixed warmup prefix in committed instructions: the
-	// replay starts Warmup records before the segment (clamped to the
-	// trace start) and discards the cycles up to the segment boundary.
-	// Negative replays the full prefix — the exact mode. Ignored when
-	// Adaptive is set.
-	Warmup int64
-	// Adaptive replaces the fixed prefix with IPC-convergence detection:
+	// Adaptive replaces the full prefix with IPC-convergence detection:
 	// the replay starts cold at the segment boundary and discards the
-	// segment's own leading sub-windows until the windowed IPC settles,
-	// so each segment pays only the warmup it actually needs.
+	// segment's own leading adaptiveWindow-instruction sub-windows until
+	// two consecutive windows' IPC agree within adaptiveTol, discarding
+	// at most adaptiveCap instructions and never more than half the
+	// segment, so every segment yields a measurement.
 	Adaptive bool
-	// AdaptiveWindow is the sub-window size in committed instructions
-	// over which IPC is measured (default 4096).
-	AdaptiveWindow uint64
-	// AdaptiveTol is the relative IPC change below which two consecutive
-	// windows count as converged (default 0.02).
-	AdaptiveTol float64
-	// AdaptiveCap bounds the discarded prefix in committed instructions
-	// (default 65536 — two warm-start intervals — and never more than
-	// half the segment, so every segment yields a measurement).
-	AdaptiveCap uint64
 }
 
-// Adaptive warmup defaults; see SegmentOpts.
+// Adaptive warmup parameters; see SegmentOpts.
 const (
-	defaultAdaptiveWindow = 4096
-	defaultAdaptiveTol    = 0.02
-	defaultAdaptiveCap    = 65536
+	adaptiveWindow = 4096
+	adaptiveTol    = 0.02
+	adaptiveCap    = 65536 // two warm-start intervals
 )
 
 // SegmentReport describes what a segment run discarded as warmup.
 type SegmentReport struct {
 	// WarmupSteps is how many committed instructions were discarded
-	// before the measurement window opened (for fixed warmup, the prefix
-	// actually replayed after clamping at the trace start).
+	// before the measurement window opened (the whole prefix under full
+	// warmup).
 	WarmupSteps uint64
 	// Converged reports whether adaptive warmup's windowed IPC settled
-	// before the cap. Always true for fixed warmup.
+	// before the cap. Always true under full warmup.
 	Converged bool
 }
 
-// RunSegment simulates one trace segment under cfg with a fixed warmup:
-// replay starts at the segment's warm-start boundary (see
-// trace.Trace.WarmStart; warmup < 0 replays the full prefix), cycles up
-// to the segment start are discarded, and the returned Stats is the
-// delta over the measurement window [seg.Start, seg.End).
-func RunSegment(cfg Config, tr *trace.Trace, seg trace.Segment, warmup, maxCycles int64) (Stats, error) {
-	st, _, err := RunSegmentOpts(cfg, tr, seg, SegmentOpts{Warmup: warmup}, maxCycles)
-	return st, err
-}
-
 // RunSegmentOpts simulates one trace segment under cfg with the given
-// warmup policy and returns the measurement window's Stats delta plus a
-// report of what was discarded. Host telemetry covers the warmup leg
-// too — that cost is real work this segment run performed.
+// warmup policy and returns the measurement window [seg.Start, seg.End)'s
+// Stats delta plus a report of what was discarded. Host telemetry
+// covers the warmup leg too — that cost is real work this segment run
+// performed.
 func RunSegmentOpts(cfg Config, tr *trace.Trace, seg trace.Segment, opts SegmentOpts, maxCycles int64) (Stats, SegmentReport, error) {
-	warmup := opts.Warmup
-	if opts.Adaptive {
-		// Adaptive warmup starts cold at the boundary and discards the
-		// segment's own leading windows; there is no replayed prefix.
-		warmup = 0
-	}
-	start := tr.WarmStart(seg, warmup)
+	start := tr.WarmStart(seg, !opts.Adaptive)
 	rd, err := trace.NewReaderAt(tr, start)
 	if err != nil {
 		return Stats{}, SegmentReport{}, err
@@ -142,7 +114,7 @@ func RunSegmentOpts(cfg Config, tr *trace.Trace, seg trace.Segment, opts Segment
 		report SegmentReport
 	)
 	if opts.Adaptive {
-		warm, report, err = sim.adaptiveWarm(seg, opts, maxCycles)
+		warm, report, err = sim.adaptiveWarm(seg, maxCycles)
 	} else {
 		warm, err = sim.RunUntilCommitted(seg.Start.Step-start.Step, maxCycles)
 		report = SegmentReport{WarmupSteps: warm.Committed, Converged: true}
@@ -172,19 +144,8 @@ func RunSegmentOpts(cfg Config, tr *trace.Trace, seg trace.Segment, opts Segment
 // adaptive warmup spends nothing extra: it sacrifices a bounded sliver
 // of the segment's own front, sized by when the caches and predictor
 // actually stop drifting rather than by a one-size guess.
-func (s *Simulator) adaptiveWarm(seg trace.Segment, opts SegmentOpts, maxCycles int64) (Stats, SegmentReport, error) {
-	window := opts.AdaptiveWindow
-	if window == 0 {
-		window = defaultAdaptiveWindow
-	}
-	tol := opts.AdaptiveTol
-	if tol <= 0 {
-		tol = defaultAdaptiveTol
-	}
-	limit := opts.AdaptiveCap
-	if limit == 0 {
-		limit = defaultAdaptiveCap
-	}
+func (s *Simulator) adaptiveWarm(seg trace.Segment, maxCycles int64) (Stats, SegmentReport, error) {
+	limit := uint64(adaptiveCap)
 	if half := seg.Steps() / 2; limit > half {
 		limit = half
 	}
@@ -193,7 +154,7 @@ func (s *Simulator) adaptiveWarm(seg trace.Segment, opts SegmentOpts, maxCycles 
 		prevIPC float64
 	)
 	for warm.Committed < limit {
-		target := warm.Committed + window
+		target := warm.Committed + adaptiveWindow
 		if target > limit {
 			target = limit
 		}
@@ -218,7 +179,7 @@ func (s *Simulator) adaptiveWarm(seg trace.Segment, opts SegmentOpts, maxCycles 
 			if d < 0 {
 				d = -d
 			}
-			if d <= tol*prevIPC {
+			if d <= adaptiveTol*prevIPC {
 				return warm, SegmentReport{WarmupSteps: warm.Committed, Converged: true}, nil
 			}
 		}

@@ -106,7 +106,7 @@ func TestSegmentStitchingExact(t *testing.T) {
 		}
 		parts := make([]Stats, len(segs))
 		for i, seg := range segs {
-			parts[i], err = RunSegment(c, tr, seg, -1, 50_000_000)
+			parts[i], _, err = RunSegmentOpts(c, tr, seg, SegmentOpts{}, 50_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,10 +122,12 @@ func TestSegmentStitchingExact(t *testing.T) {
 	}
 }
 
-// TestSegmentFiniteWarmupApproximates pins the sampled-mode contract:
-// finite warmup commits exactly the window instructions per segment and
-// lands near — not necessarily on — the monolithic cycle count.
-func TestSegmentFiniteWarmupApproximates(t *testing.T) {
+// TestSegmentAdaptiveWarmup pins the phase-sampled plan's warmup
+// contract: each segment discards at most min(cap, half the segment),
+// measures the rest of it to within one retire width at its closing
+// seam, and the stitched IPC lands near — not necessarily on — the
+// monolithic IPC.
+func TestSegmentAdaptiveWarmup(t *testing.T) {
 	tr := captureWorkload(t, "micro.branchy")
 	c := cfg("warm", 1, 0, window64)
 	c.PerfectBPred = false
@@ -138,28 +140,39 @@ func TestSegmentFiniteWarmupApproximates(t *testing.T) {
 		t.Fatal(err)
 	}
 	segs := tr.Segments(4)
-	var parts []Stats
+	if len(segs) < 2 {
+		t.Fatalf("micro.branchy yielded %d segments, want ≥ 2", len(segs))
+	}
+	var (
+		parts     []Stats
+		discarded uint64
+	)
 	for _, seg := range segs {
-		st, err := RunSegment(c, tr, seg, 1<<14, 50_000_000)
+		st, rep, err := RunSegmentOpts(c, tr, seg, SegmentOpts{Adaptive: true}, 50_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if limit := min(uint64(adaptiveCap), seg.Steps()/2); rep.WarmupSteps > limit {
+			t.Errorf("segment %d discarded %d warmup steps, limit %d", seg.Index, rep.WarmupSteps, limit)
+		}
+		// The run loop stops on the first cycle that crosses the window's
+		// end, so a commit group may overshoot it by under one retire
+		// width; the warmup snapshot is counted exactly.
+		want := seg.Steps() - rep.WarmupSteps
+		if st.Committed < want || st.Committed >= want+uint64(c.RetireWidth) {
+			t.Errorf("segment %d committed %d, want %d (+ < %d)", seg.Index, st.Committed, want, c.RetireWidth)
+		}
+		discarded += rep.WarmupSteps
 		parts = append(parts, st)
+	}
+	if discarded == 0 {
+		t.Error("adaptive warmup discarded no steps")
 	}
 	stitched, err := StitchStats(parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Commit-width overshoot at the warmup horizon can shift a handful of
-	// instructions between warmup and window; the totals stay within one
-	// retire width per seam.
-	slack := uint64(len(segs) * c.RetireWidth)
-	if stitched.Committed < tr.Steps()-slack || stitched.Committed > tr.Steps()+slack {
-		t.Errorf("stitched committed %d, monolithic %d (slack %d)", stitched.Committed, tr.Steps(), slack)
-	}
-	lo := float64(mono.Cycles) * 0.9
-	hi := float64(mono.Cycles) * 1.1
-	if f := float64(stitched.Cycles); f < lo || f > hi {
-		t.Errorf("stitched cycles %d not within 10%% of monolithic %d", stitched.Cycles, mono.Cycles)
+	if got, want := stitched.IPC(), mono.IPC(); got < want*0.9 || got > want*1.1 {
+		t.Errorf("stitched IPC %.4f not within 10%% of monolithic %.4f", got, want)
 	}
 }

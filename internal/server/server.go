@@ -286,9 +286,24 @@ func (s *Server) buildConfig(req *RunRequest) (ce.Config, error) {
 	return cfg, nil
 }
 
+// maxSpecDim bounds every size field of a SchedulerSpec (size, clusters,
+// fifos_per_cluster, depth). The simulator allocates scheduler state in
+// proportion to them, so an unbounded field would let a tiny request
+// body exhaust the daemon's memory. The largest geometry any caller
+// requests today is a 128-entry window.
+const maxSpecDim = 1024
+
 // resolve lowers the wire spec to the engine's serializable form and the
 // cluster count it implies.
 func (r *SchedulerSpec) resolve() (core.SchedulerSpec, int, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"size", r.Size}, {"clusters", r.Clusters}, {"fifos_per_cluster", r.FIFOsPerCluster}, {"depth", r.Depth}} {
+		if f.v > maxSpecDim {
+			return core.SchedulerSpec{}, 0, fmt.Errorf("scheduler %s %d exceeds the limit of %d", f.name, f.v, maxSpecDim)
+		}
+	}
 	switch r.Kind {
 	case "window":
 		if r.Size <= 0 {
@@ -326,12 +341,20 @@ func (r *SchedulerSpec) resolve() (core.SchedulerSpec, int, error) {
 	}
 }
 
+// decodeRunRequest parses a POST /run body: one JSON object with no
+// unknown fields.
+func decodeRunRequest(body io.Reader) (RunRequest, error) {
+	var req RunRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.runRequests.Add(1)
-	var req RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRunRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		http.Error(w, "malformed run request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

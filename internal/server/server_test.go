@@ -158,6 +158,10 @@ func TestRunRejectsBadRequests(t *testing.T) {
 		{"fifos without depth", `{"scheduler":{"kind":"fifos","fifos_per_cluster":4},"workload":"micro.chain"}`, "depth > 0"},
 		{"uneven clusters", `{"scheduler":{"kind":"fifos","clusters":3,"fifos_per_cluster":2,"depth":8},"workload":"micro.chain"}`, "clusters"},
 		{"unknown predictor", `{"config":"baseline","workload":"micro.chain","predictor":"oracle"}`, "predictor"},
+		{"huge fifo bank", `{"scheduler":{"kind":"fifos","clusters":1,"fifos_per_cluster":4194304,"depth":8},"workload":"micro.chain"}`, "exceeds the limit"},
+		{"huge fifo depth", `{"scheduler":{"kind":"fifos","fifos_per_cluster":4,"depth":1073741824},"workload":"micro.chain"}`, "exceeds the limit"},
+		{"huge window", `{"scheduler":{"kind":"window","size":9223372036854775807},"workload":"micro.chain"}`, "exceeds the limit"},
+		{"huge exec-steer clusters", `{"scheduler":{"kind":"exec-steer","size":64,"clusters":1048576},"workload":"micro.chain"}`, "exceeds the limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -285,20 +285,60 @@ func TestHistogramCloneSub(t *testing.T) {
 	}
 }
 
+// TestMeanCI95 pins WeightedMeanCI95's equal-weight case: the sample
+// mean and the normal-approximation half-width 1.96·s/√n.
 func TestMeanCI95(t *testing.T) {
-	mean, half := MeanCI95([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if mean != 5 {
-		t.Errorf("mean = %g, want 5", mean)
+	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
+	for _, w := range []float64{1, 0.125, 1000} {
+		ws := make([]float64, len(xs))
+		for i := range ws {
+			ws[i] = w
+		}
+		mean, half := WeightedMeanCI95(xs, ws)
+		if math.Abs(mean-5) > 1e-12 {
+			t.Errorf("weight %g: mean = %g, want 5", w, mean)
+		}
+		// Sample sd of this classic set is ≈2.138; 1.96·sd/√8 ≈ 1.4815.
+		if math.Abs(half-1.4815) > 0.01 {
+			t.Errorf("weight %g: half-width = %g, want ≈1.4815", w, half)
+		}
 	}
-	// Sample sd of this classic set is ≈2.138; 1.96·sd/√8 ≈ 1.4815.
-	if math.Abs(half-1.4815) > 0.01 {
-		t.Errorf("half-width = %g, want ≈1.4815", half)
-	}
-	if _, h := MeanCI95([]float64{3}); h != 0 {
+	if _, h := WeightedMeanCI95([]float64{3}, []float64{1}); h != 0 {
 		t.Errorf("single-sample half-width = %g, want 0", h)
 	}
-	if m, h := MeanCI95(nil); m != 0 || h != 0 {
-		t.Errorf("empty MeanCI95 = %g ± %g", m, h)
+	if m, h := WeightedMeanCI95(nil, nil); m != 0 || h != 0 {
+		t.Errorf("empty WeightedMeanCI95 = %g ± %g", m, h)
+	}
+}
+
+// TestWeightedMeanCI95 pins the unequal-weight estimator: the weighted
+// mean, a half-width that widens as one weight dominates (fewer
+// effective samples), and zeros for malformed input.
+func TestWeightedMeanCI95(t *testing.T) {
+	xs := []float64{1, 3}
+	mean, even := WeightedMeanCI95(xs, []float64{1, 1})
+	if mean != 2 {
+		t.Errorf("equal-weight mean = %g, want 2", mean)
+	}
+	mean, skew := WeightedMeanCI95(xs, []float64{3, 1})
+	if mean != 1.5 {
+		t.Errorf("3:1 mean = %g, want 1.5", mean)
+	}
+	// Two samples carry n_eff = 2 when even (a finite interval) and
+	// n_eff = 1.6 at 3:1 (no interval).
+	if even <= 0 || skew != 0 {
+		t.Errorf("half-widths %g (even), %g (3:1); want > 0, then 0", even, skew)
+	}
+	xs = []float64{1, 2, 3, 4, 5, 6}
+	_, even = WeightedMeanCI95(xs, []float64{1, 1, 1, 1, 1, 1})
+	_, skew = WeightedMeanCI95(xs, []float64{5, 1, 1, 1, 1, 1})
+	if skew <= even {
+		t.Errorf("dominant weight narrowed the interval: %g ≤ %g", skew, even)
+	}
+	for _, ws := range [][]float64{{1}, {0, 0}, {-1, 2}} {
+		if m, h := WeightedMeanCI95([]float64{1, 2}, ws); m != 0 || h != 0 {
+			t.Errorf("weights %v: got %g ± %g, want 0 ± 0", ws, m, h)
+		}
 	}
 }
 

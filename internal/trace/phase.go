@@ -165,7 +165,8 @@ func sqDist(a, b []float64) float64 {
 // SegmentPhases clusters segs (cut from this trace) into at most k
 // phases by their basic-block vectors, weighting each segment by its
 // dynamic instruction count. Returns nil if the trace carries no BBV
-// profile (pre-v3 capture paths; callers fall back to stride sampling).
+// profile (every capture with at least one record has one); callers
+// then time every segment exactly.
 func (t *Trace) SegmentPhases(segs []Segment, k int) []Phase {
 	if !t.HasBBV() || len(segs) == 0 {
 		return nil

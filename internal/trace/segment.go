@@ -103,22 +103,16 @@ func (t *Trace) Segments(k int) []Segment {
 	return segs
 }
 
-// WarmStart returns the boundary at which to begin replaying seg so
-// that at least warmup dynamic instructions run (their cycles
-// discarded) before measurement starts at seg.Start. warmup < 0
-// selects the full prefix — replay from the very beginning, which makes
-// the segment run an exact stopped-early copy of the monolithic
-// simulation and the stitched statistics bit-identical to it.
-func (t *Trace) WarmStart(seg Segment, warmup int64) Boundary {
-	if warmup < 0 || uint64(warmup) >= seg.Start.Step {
+// WarmStart returns the boundary at which to begin replaying seg. Full
+// warmup replays from the very beginning, which makes the segment run
+// an exact stopped-early copy of the monolithic simulation and the
+// stitched statistics bit-identical to it; otherwise replay starts cold
+// at the segment's own boundary.
+func (t *Trace) WarmStart(seg Segment, full bool) Boundary {
+	if full {
 		return t.startBoundary()
 	}
-	desired := seg.Start.Step - uint64(warmup)
-	i := sort.Search(len(t.bounds), func(i int) bool { return t.bounds[i].Step > desired })
-	if i == 0 {
-		return t.startBoundary()
-	}
-	return t.bounds[i-1]
+	return seg.Start
 }
 
 // NewReaderAt returns a cursor positioned at boundary b, exactly as if

@@ -112,8 +112,7 @@ func TestSegmentsPartition(t *testing.T) {
 }
 
 // TestWarmStart pins warm-start boundary selection: full warmup is the
-// trace start, zero warmup is the segment's own start, and a finite
-// warmup backs up far enough to cover at least the requested records.
+// trace start, and a cold start is the segment's own start.
 func TestWarmStart(t *testing.T) {
 	p := mustProgram(t, "compress")
 	tr, err := Capture(p, maxInsts)
@@ -125,20 +124,14 @@ func TestWarmStart(t *testing.T) {
 		t.Fatalf("want ≥3 segments, got %d", len(segs))
 	}
 	seg := segs[2]
-	if ws := tr.WarmStart(seg, -1); ws.Step != 0 {
-		t.Errorf("full warmup starts at step %d, want 0", ws.Step)
+	if ws := tr.WarmStart(seg, true); ws != tr.startBoundary() {
+		t.Errorf("full warmup starts at %+v, want the trace start", ws)
 	}
-	if ws := tr.WarmStart(seg, 0); ws != seg.Start {
-		t.Errorf("zero warmup starts at %+v, want the segment start %+v", ws, seg.Start)
+	if ws := tr.WarmStart(seg, false); ws != seg.Start {
+		t.Errorf("cold start at %+v, want the segment start %+v", ws, seg.Start)
 	}
-	w := int64(2 * boundaryInterval)
-	ws := tr.WarmStart(seg, w)
-	if ws.Step > seg.Start.Step-uint64(w) {
-		t.Errorf("warmup %d covers only %d records", w, seg.Start.Step-ws.Step)
-	}
-	// A warmup longer than the prefix clamps to the start.
-	if ws := tr.WarmStart(segs[0], 10); ws.Step != 0 {
-		t.Errorf("over-long warmup starts at step %d, want 0", ws.Step)
+	if ws := tr.WarmStart(segs[0], false); ws.Step != 0 {
+		t.Errorf("first segment's cold start at step %d, want 0", ws.Step)
 	}
 }
 

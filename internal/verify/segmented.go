@@ -3,8 +3,8 @@ package verify
 // Differential verification of the segment-parallel seam
 // (internal/pipeline's segment.go, orchestrated by the root package):
 // stitched full-warmup segment runs must equal the monolithic replay
-// run on every deterministic statistic, and sampled finite-warmup
-// stitching must land inside its stated error bars. Generated panel
+// run on every deterministic statistic, and the phase-sampled estimate
+// must land inside its stated error bars. Generated panel
 // programs are too short to cross a boundary, so this check runs on
 // named workloads long enough to segment.
 
@@ -17,11 +17,11 @@ import (
 	"repro/internal/trace"
 )
 
-// sampledTolerance is the error bar CheckSegmented holds sampled
-// stitching to: the monolithic IPC must lie within the per-segment 95%
-// confidence interval widened by this relative slack (finite warmup
-// biases every segment the same way, which a CI over segments cannot
-// see).
+// sampledTolerance is the error bar CheckSegmented holds the
+// phase-sampled estimate to: the monolithic IPC must lie within the
+// cluster-weighted 95% confidence interval widened by this relative
+// slack (adaptive warmup biases every segment the same way, which a CI
+// over segments cannot see).
 const sampledTolerance = 0.10
 
 // CheckSegmented differentially verifies segment-parallel simulation of
@@ -143,7 +143,7 @@ func checkSegmentedOne(cfg pipeline.Config, tr *trace.Trace, k int) error {
 	// must equal the monolithic run's on every deterministic field.
 	parts := make([]pipeline.Stats, len(segs))
 	for i, seg := range segs {
-		parts[i], err = pipeline.RunSegment(cfg, tr, seg, -1, maxCycles)
+		parts[i], _, err = pipeline.RunSegmentOpts(cfg, tr, seg, pipeline.SegmentOpts{}, maxCycles)
 		if err != nil {
 			return fail("segment %d: %v", i, err)
 		}
@@ -156,17 +156,24 @@ func checkSegmentedOne(cfg pipeline.Config, tr *trace.Trace, k int) error {
 		return fail("full-warmup stitch: %v", err)
 	}
 
-	// Sampled regime: finite warmup, every second segment. The estimate
-	// must stay inside its stated error bars against the monolithic IPC.
-	var ipcs []float64
-	for i := 0; i < len(segs); i += 2 {
-		st, err := pipeline.RunSegment(cfg, tr, segs[i], 1<<14, maxCycles)
-		if err != nil {
-			return fail("sampled segment %d: %v", i, err)
-		}
-		ipcs = append(ipcs, st.IPC())
+	// Phase-sampled regime: one representative per behavior cluster (at
+	// most half the segments), adaptive warmup, cluster-weighted mean.
+	// The estimate must stay inside its stated error bars against the
+	// monolithic IPC.
+	phases := tr.SegmentPhases(segs, (len(segs)+1)/2)
+	if len(phases) == 0 {
+		return fail("%d segments yielded no phases", len(segs))
 	}
-	mean, half := stats.MeanCI95(ipcs)
+	ipcs := make([]float64, len(phases))
+	weights := make([]float64, len(phases))
+	for i, ph := range phases {
+		st, _, err := pipeline.RunSegmentOpts(cfg, tr, segs[ph.Rep], pipeline.SegmentOpts{Adaptive: true}, maxCycles)
+		if err != nil {
+			return fail("phase representative %d: %v", ph.Rep, err)
+		}
+		ipcs[i], weights[i] = st.IPC(), ph.Weight
+	}
+	mean, half := stats.WeightedMeanCI95(ipcs, weights)
 	slack := half + sampledTolerance*mean
 	if d := mean - mono.IPC(); d > slack || d < -slack {
 		return fail("sampled IPC %.4f ± %.4f misses monolithic %.4f (tolerance %.4f)",

@@ -5,23 +5,23 @@ package ce
 // execution, time each segment independently (fanning out across CPUs),
 // and stitch the per-segment Stats back into one whole-run result.
 //
-// Two regimes, chosen by the engine's segment plan:
+// Two segment plans:
 //
-//   - Exact (warmup < 0, sample 1): each segment replays its full
-//     prefix as warmup, so the stitched result is bit-identical to the
-//     monolithic run (the telescoping argument in internal/pipeline's
-//     segment.go) and shares the monolithic run-cache key. Total work
-//     is O(K·N), so this mode trades CPU for latency: wall clock drops
-//     only when idle cores absorb the redundant prefixes.
+//   - Exact (the default): each segment replays its full prefix as
+//     warmup, so the stitched result is bit-identical to the monolithic
+//     run (the telescoping argument in internal/pipeline's segment.go)
+//     and shares the monolithic run-cache key. Total work is O(K·N), so
+//     this plan trades CPU for latency: wall clock drops only when idle
+//     cores absorb the redundant prefixes.
 //
-//   - Sampled (finite warmup and/or sample > 1): each measured segment
-//     warms caches and predictors over a bounded prefix, and only every
-//     sample-th segment is simulated. Total work drops to roughly
-//     (warmup + N/K) · K/sample records, which is where the real
-//     speedup lives; the result is an estimate and carries a
-//     per-segment-IPC confidence interval. Approximate results are
-//     cached under a key suffixed with the plan so they can never
-//     shadow (or be shadowed by) an exact run.
+//   - Phase-sampled (SetSegmentPhases): segments are clustered by their
+//     basic-block vectors and one representative per cluster is timed,
+//     starting cold at its own boundary and discarding its leading
+//     windows until IPC converges (adaptive warmup). Total work drops to
+//     roughly phases · N/K records, which is where the real speedup
+//     lives; the result is a cluster-weighted estimate with a confidence
+//     interval, cached under a key suffixed with the plan so it can
+//     never shadow (or be shadowed by) an exact run.
 
 import (
 	"fmt"
@@ -34,38 +34,27 @@ import (
 )
 
 // SegmentMetrics describes how a segmented run was conducted and, for
-// sampled runs, how tight the estimate is.
+// phase-sampled runs, how tight the estimate is.
 type SegmentMetrics struct {
 	// Segments is how many segments the trace was cut into; Simulated is
-	// how many were actually timed (== Segments unless sampling).
+	// how many were actually timed (== Segments for exact runs).
 	Segments  int `json:"segments"`
 	Simulated int `json:"simulated"`
-	// Warmup is the per-segment warmup prefix in committed instructions
-	// (-1 = full prefix, the exact mode; 0 under adaptive warmup, which
-	// replays no prefix at all).
-	Warmup int64 `json:"warmup"`
-	// Sample is the sampling stride: every Sample-th segment is timed.
-	Sample int `json:"sample"`
-	// Mode names how the timed segments were chosen: "exact" (all, full
-	// warmup), "stride" (every Sample-th), or "phase" (one representative
-	// per behavior cluster, weighted by cluster mass).
-	Mode string `json:"mode"`
-	// Phases is the number of behavior clusters found (phase mode only).
+	// Phases is the number of behavior clusters found (phase-sampled runs
+	// only; each contributes one timed representative).
 	Phases int `json:"phases,omitempty"`
 	// Exact reports whether the stitched result is bit-identical to the
-	// monolithic run (full warmup, no sampling).
+	// monolithic run (full warmup, every segment timed).
 	Exact bool `json:"exact"`
-	// AdaptiveWarmup reports whether per-segment IPC-convergence warmup
-	// replaced the fixed prefix; WarmupMeanSteps is then the mean
-	// instructions each timed segment actually discarded, and
-	// WarmupConverged counts segments whose windowed IPC settled before
-	// the cap.
-	AdaptiveWarmup  bool    `json:"adaptive_warmup,omitempty"`
+	// WarmupMeanSteps is the mean number of instructions each timed
+	// segment discarded under adaptive warmup, and WarmupConverged counts
+	// segments whose windowed IPC settled before the cap (phase-sampled
+	// runs only).
 	WarmupMeanSteps float64 `json:"warmup_mean_steps,omitempty"`
 	WarmupConverged int     `json:"warmup_converged,omitempty"`
 	// IPCMean and IPCHalfCI95 summarize the timed segments' IPC
-	// population: the (phase-weighted, in phase mode) mean and the
-	// half-width of its 95% confidence interval.
+	// population: the phase-weighted mean and the half-width of its 95%
+	// confidence interval.
 	IPCMean     float64 `json:"ipc_mean"`
 	IPCHalfCI95 float64 `json:"ipc_half_ci95"`
 	// EstimatedCycles extrapolates the whole-run cycle count from the
@@ -82,41 +71,18 @@ func (e *Engine) SetSegments(k int) {
 	e.traceMu.Unlock()
 }
 
-// SetSegmentWarmup sets the per-segment warmup prefix, in committed
-// instructions, whose cycles are discarded before a segment's
-// measurement window opens. Negative means the full prefix (exact
-// stitching, the default); 0 means cold-start at the boundary.
-func (e *Engine) SetSegmentWarmup(warmup int64) {
-	e.traceMu.Lock()
-	e.segWarmup = warmup
-	e.traceMu.Unlock()
-}
+// SetSegmentAdaptive is a no-op. Phase-sampled plans always warm each
+// timed segment adaptively and exact plans always replay the full
+// prefix, so there is no warmup left to choose; the setter stays only
+// because perfbench's huge-sampled workload still calls it.
+func (e *Engine) SetSegmentAdaptive(bool) {}
 
-// SetSegmentSample sets the sampling stride: every sample-th segment is
-// simulated and the rest extrapolated. sample <= 1 simulates every
-// segment.
-func (e *Engine) SetSegmentSample(sample int) {
-	e.traceMu.Lock()
-	e.segSample = sample
-	e.traceMu.Unlock()
-}
-
-// SetSegmentAdaptive replaces the fixed per-segment warmup prefix with
-// IPC-convergence detection: each timed segment starts cold at its
-// boundary and discards its own leading sub-windows until the windowed
-// IPC settles (see pipeline.SegmentOpts). The result is approximate,
-// like any finite warmup.
-func (e *Engine) SetSegmentAdaptive(on bool) {
-	e.traceMu.Lock()
-	e.segAdaptive = on
-	e.traceMu.Unlock()
-}
-
-// SetSegmentPhases selects phase-clustered sampling: the trace's
+// SetSegmentPhases selects phase-sampled simulation: the trace's
 // segments are clustered into at most k phases by their basic-block
-// vectors, one representative per phase is timed, and the results are
-// stitched with cluster weights. k <= 0 disables (stride sampling
-// applies). Traces without a BBV profile fall back to stride sampling.
+// vectors, one representative per phase is timed under adaptive warmup
+// (see pipeline.SegmentOpts), and the results are stitched with cluster
+// weights. k <= 0 restores the exact plan: every segment timed behind
+// its full prefix.
 func (e *Engine) SetSegmentPhases(k int) {
 	e.traceMu.Lock()
 	e.segPhases = k
@@ -126,45 +92,26 @@ func (e *Engine) SetSegmentPhases(k int) {
 // segPlan is a snapshot of the engine's segment configuration. Every
 // field feeds segmented timing, so every field must reach the run-cache
 // key segKeySuffix builds — keylint's via mode enforces it, because a
-// plan field dropped from the key would let an approximate run
-// masquerade as a different plan's (or the exact) result.
+// plan field dropped from the key would let a sampled run masquerade as
+// a different plan's (or the exact) result.
 //
 //ce:keyed via=segKeySuffix
 type segPlan struct {
-	k        int   // segments to cut (<=1: monolithic)
-	warmup   int64 // fixed warmup prefix (-1: full, exact)
-	sample   int   // stride sampling (>=1)
-	adaptive bool  // IPC-convergence warmup instead of the fixed prefix
-	phases   int   // phase-clustered sampling (>0: at most this many phases)
-}
-
-// exact reports whether the plan stitches bit-identical to the
-// monolithic run: full warmup, every segment timed.
-func (p segPlan) exact() bool {
-	return p.warmup < 0 && !p.adaptive && p.sample == 1 && p.phases <= 0
+	k      int // segments to cut (<=1: monolithic)
+	phases int // phase-sampled (>0: at most this many phases); else exact
 }
 
 // segmentPlan snapshots the engine's segment configuration.
 func (e *Engine) segmentPlan() segPlan {
 	e.traceMu.Lock()
 	defer e.traceMu.Unlock()
-	p := segPlan{
-		k:        e.segments,
-		warmup:   e.segWarmup,
-		sample:   e.segSample,
-		adaptive: e.segAdaptive,
-		phases:   e.segPhases,
-	}
-	if p.sample < 1 {
-		p.sample = 1
-	}
-	return p
+	return segPlan{k: e.segments, phases: e.segPhases}
 }
 
 // segKeySuffix returns the run-cache key suffix for the engine's
-// current segment plan under cfg. Exact segmentation ("" as well as no
+// current segment plan under cfg. The exact plan ("" as well as no
 // segmentation at all) shares the monolithic key — the results are
-// bit-identical, so a cache hit either way is correct. Approximate
+// bit-identical, so a cache hit either way is correct. Phase-sampled
 // plans get a distinct suffix so an estimate can never masquerade as an
 // exact result. Wrong-path configurations cannot replay and therefore
 // always run monolithic, whatever the plan says.
@@ -173,14 +120,10 @@ func (e *Engine) segKeySuffix(cfg Config) string {
 	e.traceMu.Lock()
 	noReplay := e.noReplay
 	e.traceMu.Unlock()
-	if p.k <= 1 || noReplay || cfg.WrongPathExecution {
+	if p.k <= 1 || p.phases <= 0 || noReplay || cfg.WrongPathExecution {
 		return ""
 	}
-	if p.exact() {
-		return "" // exact: same bits as the monolithic run
-	}
-	return fmt.Sprintf("\x00segments=%d warmup=%d sample=%d adaptive=%t phases=%d",
-		p.k, p.warmup, p.sample, p.adaptive, p.phases)
+	return fmt.Sprintf("\x00segments=%d phases=%d", p.k, p.phases)
 }
 
 // runSegments fans the given segment indices out across CPUs, running
@@ -239,42 +182,33 @@ func runSegments(cfg Config, tr *trace.Trace, segs []trace.Segment, pick []int, 
 // under the given plan and returns the stitched Stats plus the segment
 // metrics recorded into the run's attribution.
 //
-// Phase mode times one representative segment per behavior cluster and
-// weights it by the cluster's share of the execution, so the IPC mean
-// is cluster-weighted (stats.WeightedMeanCI95) and the cycle estimate
-// sums each phase's instructions at its representative's IPC. Stride
-// mode times every sample-th segment and treats them as an unweighted
-// IPC population.
+// A phase-sampled plan times one representative segment per behavior
+// cluster and weights it by the cluster's share of the execution, so
+// the IPC mean is cluster-weighted (stats.WeightedMeanCI95) and the
+// cycle estimate sums each phase's instructions at its representative's
+// IPC. A trace without a BBV profile runs the exact plan instead.
 func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *simAttribution) (Stats, error) {
 	segs := tr.Segments(plan.k)
-	mode := "stride"
-	if plan.exact() {
-		mode = "exact"
+	var phases []trace.Phase
+	if plan.phases > 0 {
+		phases = tr.SegmentPhases(segs, plan.phases)
 	}
+	exact := len(phases) == 0
 	var (
 		pick    []int
-		weights []float64 // phase mode: pick[i]'s share of the execution
+		weights []float64 // pick[i]'s share of the execution
 	)
-	if plan.phases > 0 {
-		if phases := tr.SegmentPhases(segs, plan.phases); phases != nil {
-			mode = "phase"
-			pick = make([]int, len(phases))
-			weights = make([]float64, len(phases))
-			for i, ph := range phases {
-				pick[i] = ph.Rep
-				weights[i] = ph.Weight
-			}
-		}
-		// No BBV profile (pre-v3 trace still resident): stride sampling.
-	}
-	if pick == nil {
-		pick = make([]int, 0, (len(segs)+plan.sample-1)/plan.sample)
-		for i := 0; i < len(segs); i += plan.sample {
+	if exact {
+		for i, s := range segs {
 			pick = append(pick, i)
+			weights = append(weights, float64(s.Steps()))
 		}
 	}
-	opts := pipeline.SegmentOpts{Warmup: plan.warmup, Adaptive: plan.adaptive}
-	parts, reports, err := runSegments(cfg, tr, segs, pick, opts)
+	for _, ph := range phases {
+		pick = append(pick, ph.Rep)
+		weights = append(weights, ph.Weight)
+	}
+	parts, reports, err := runSegments(cfg, tr, segs, pick, pipeline.SegmentOpts{Adaptive: !exact})
 	if err != nil {
 		return Stats{}, err
 	}
@@ -286,30 +220,17 @@ func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *s
 	for i, p := range parts {
 		ipcs[i] = p.IPC()
 	}
-	var mean, half float64
-	if mode == "phase" {
-		mean, half = stats.WeightedMeanCI95(ipcs, weights)
-	} else {
-		mean, half = stats.MeanCI95(ipcs)
-	}
-	warmup := plan.warmup
-	if plan.adaptive {
-		warmup = 0
-	}
+	mean, half := stats.WeightedMeanCI95(ipcs, weights)
 	sm := &SegmentMetrics{
 		Segments:        len(segs),
 		Simulated:       len(parts),
-		Warmup:          warmup,
-		Sample:          plan.sample,
-		Mode:            mode,
-		Exact:           plan.exact(),
-		AdaptiveWarmup:  plan.adaptive,
+		Exact:           exact,
 		IPCMean:         mean,
 		IPCHalfCI95:     half,
 		EstimatedCycles: st.Cycles,
 	}
-	if mode == "phase" {
-		sm.Phases = len(pick)
+	if !exact {
+		sm.Phases = len(phases)
 		// Each phase's instructions retire at its representative's IPC.
 		var cyc float64
 		for i, w := range weights {
@@ -320,11 +241,6 @@ func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *s
 		if cyc > 0 {
 			sm.EstimatedCycles = int64(cyc)
 		}
-	} else if plan.sample > 1 && mean > 0 {
-		// Extrapolate: the whole trace at the sampled segments' mean IPC.
-		sm.EstimatedCycles = int64(float64(tr.Steps()) / mean)
-	}
-	if plan.adaptive {
 		var steps uint64
 		for _, r := range reports {
 			steps += r.WarmupSteps
@@ -332,9 +248,7 @@ func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *s
 				sm.WarmupConverged++
 			}
 		}
-		if len(reports) > 0 {
-			sm.WarmupMeanSteps = float64(steps) / float64(len(reports))
-		}
+		sm.WarmupMeanSteps = float64(steps) / float64(len(reports))
 	}
 	attr.segments = sm
 	// The segment workers' private readers decoded every measured record

@@ -90,18 +90,13 @@ type Engine struct {
 	// Segment plan (segmented.go): shard replay-driven runs into
 	// segments timed in parallel. Guarded by traceMu with the rest of
 	// the replay configuration.
-	segments    int
-	segWarmup   int64
-	segSample   int
-	segAdaptive bool
-	segPhases   int
+	segments  int
+	segPhases int
 }
 
 // NewEngine returns an Engine with an empty in-memory run cache.
-// Segment warmup defaults to the full prefix (-1): if segmentation is
-// enabled without choosing a warmup, stitching stays exact.
 func NewEngine() *Engine {
-	return &Engine{cache: runcache.New(), segWarmup: -1}
+	return &Engine{cache: runcache.New()}
 }
 
 // DefaultEngine is the process-wide engine behind the package-level
@@ -180,7 +175,7 @@ func (e *Engine) runOne(cfg Config, workload string) (Stats, RunMetrics, error) 
 		attr   simAttribution
 	)
 	if key, ok := cfg.Key(); ok {
-		// Approximate segment plans suffix the key so an estimate can
+		// Phase-sampled plans suffix the key so an estimate can
 		// never be recalled as (or instead of) an exact result.
 		key += e.segKeySuffix(cfg)
 		st, cached, err = e.cache.Do(key+"\x00"+workload, func() (Stats, error) {
