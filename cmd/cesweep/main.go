@@ -26,24 +26,21 @@
 //	-cache-dir DIR      persist run results on disk across invocations
 //
 // Each workload is executed once per process and every simulation is
-// driven from the shared captured trace (replay); results are identical
-// to lockstep execution, which remains available:
+// driven from the shared captured trace (replay), except wrong-path
+// configurations, which execute in lockstep; results are identical
+// either way:
 //
 //	-trace-dir DIR      persist captured traces on disk across invocations
-//	-no-trace-replay    drive every simulation by lockstep execution
 //
-// Segment-parallel simulation shards each trace into K segments timed
-// independently across CPUs and stitches the results:
+// Phase-sampled simulation shards each trace into K segments, clusters
+// them into at most P phases by their basic-block vectors and times one
+// representative per phase across CPUs, starting cold and discarding
+// its leading windows until IPC converges. The result is an estimate,
+// reported with error bars. The two flags go together; giving only one
+// is a usage error (exit 2):
 //
-//	-segments K         cut each trace into K segments (0 = monolithic);
-//	                    every segment replays its full prefix, so the
-//	                    stitched result is bit-identical to the
-//	                    monolithic run
-//	-phases K           phase-sample instead: cluster the segments into at
-//	                    most K phases by their basic-block vectors and time
-//	                    one representative per phase, starting cold and
-//	                    discarding its leading windows until IPC converges
-//	                    (approximate, reported with error bars; 0 = exact)
+//	-segments K         cut each trace into K > 1 segments
+//	-phases P           time at most P > 0 phase representatives
 //
 // Profiling flags for working on the simulator itself (perfbench/run.sh
 // is the repo's repeated, oracle-checked performance measurement):
@@ -81,15 +78,21 @@ var (
 	metricsDet = flag.String("metrics-det", "", "write deterministic per-run metrics (stable order, host timings scrubbed) to this file as JSON")
 	cacheDir   = flag.String("cache-dir", "", "persist simulation results as JSON under this directory")
 	traceDir   = flag.String("trace-dir", "", "persist captured execution traces under this directory")
-	noReplay   = flag.Bool("no-trace-replay", false, "drive every simulation by lockstep execution instead of shared trace replay")
-	segments   = flag.Int("segments", 0, "cut each trace into this many segments timed in parallel (0 = monolithic)")
-	segPhases  = flag.Int("phases", 0, "phase-sample segmented runs: time one representative of at most this many behavior clusters (0 = exact, every segment)")
+	segments   = flag.Int("segments", 0, "phase-sample: cut each trace into this many segments (> 1, with -phases; 0 = monolithic)")
+	segPhases  = flag.Int("phases", 0, "phase-sample: time one representative of at most this many behavior clusters (> 0, with -segments; 0 = monolithic)")
 	cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprof    = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 )
 
 func main() {
 	flag.Parse()
+	// -segments alone once selected exact segmentation: refuse a
+	// half-given plan rather than let an old command line change meaning.
+	if (*segments != 0 || *segPhases != 0) && (*segments <= 1 || *segPhases <= 0) {
+		fmt.Fprintf(os.Stderr, "cesweep: -segments %d -phases %d: phase sampling needs both, -segments > 1 and -phases > 0\n", *segments, *segPhases)
+		flag.Usage()
+		os.Exit(2)
+	}
 	stop, err := startProfiling(*cpuprof, *memprof)
 	if err == nil {
 		err = run()
@@ -155,7 +158,6 @@ func setupObservability() (func() error, error) {
 			return nil, err
 		}
 	}
-	eng.SetTraceReplay(!*noReplay)
 	eng.SetSegments(*segments)
 	eng.SetSegmentPhases(*segPhases)
 	for _, path := range []string{*metrics, *metricsDet} {
@@ -222,9 +224,8 @@ func setupObservability() (func() error, error) {
 // simulated results in a stable order, with host timings, allocation
 // counts and drive-mode fields scrubbed, and the racy memory-hit versus
 // coalesced split merged. Two invocations over the same selections —
-// different machines, different parallelism, lockstep or replay drive —
-// produce byte-identical files, which is what CI diffs to pin that
-// replay changes how fast results are computed, never the results.
+// different machines, different parallelism, cold or warm stores —
+// produce byte-identical files.
 func writeDetMetrics(path string, eng *ce.Engine) error {
 	type detRun struct {
 		Config    string  `json:"config"`

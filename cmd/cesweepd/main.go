@@ -21,10 +21,12 @@
 // exactly one of them and read from disk by the rest. -cache-max bounds
 // the warm in-memory tier; evicted results reload from the directory.
 //
-// -segments K shards each run's trace into K segments stitched exactly,
-// as in cesweep; adding -phases k phase-samples them instead (one timed
-// representative per behavior cluster, an estimate under its own
-// run-cache key).
+// -segments K -phases P phase-samples each run, as in cesweep: the trace
+// is cut into K segments and one representative per behavior cluster
+// (at most P) is timed, an estimate under its own run-cache key. The
+// two flags go together; giving only one is a usage error (exit 2).
+// Wrong-path configurations always execute in lockstep; every other run
+// replays its workload's trace.
 //
 // A client that stalls while sending a request header is disconnected
 // after 5 s, and an idle keep-alive connection after 2 minutes; neither
@@ -69,16 +71,22 @@ var (
 	cacheDir        = flag.String("cache-dir", "", "persist run results under this directory (shared across daemons)")
 	traceDir        = flag.String("trace-dir", "", "persist execution traces under this directory (shared across daemons)")
 	cacheMax        = flag.Int("cache-max", 4096, "max run results held in memory, LRU over the disk tier (0 = unbounded)")
-	noReplay        = flag.Bool("no-trace-replay", false, "drive every simulation by lockstep execution instead of trace replay")
 	pprofAddr       = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled. Never exposed on the serving port")
-	segments        = flag.Int("segments", 0, "cut each trace into this many segments timed in parallel (0 = monolithic)")
-	segPhases       = flag.Int("phases", 0, "phase-sample segmented runs: time one representative of at most this many behavior clusters (0 = exact, every segment)")
+	segments        = flag.Int("segments", 0, "phase-sample: cut each trace into this many segments (> 1, with -phases; 0 = monolithic)")
+	segPhases       = flag.Int("phases", 0, "phase-sample: time one representative of at most this many behavior clusters (> 0, with -segments; 0 = monolithic)")
 	shutdownTimeout = flag.Duration("shutdown-timeout", 2*time.Minute, "max time to drain in-flight requests on SIGINT/SIGTERM")
 	quiet           = flag.Bool("quiet", false, "suppress per-request log lines")
 )
 
 func main() {
 	flag.Parse()
+	// -segments alone once selected exact segmentation: refuse a
+	// half-given plan rather than let an old command line change meaning.
+	if (*segments != 0 || *segPhases != 0) && (*segments <= 1 || *segPhases <= 0) {
+		fmt.Fprintf(os.Stderr, "cesweepd: -segments %d -phases %d: phase sampling needs both, -segments > 1 and -phases > 0\n", *segments, *segPhases)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "cesweepd:", err)
 		os.Exit(1)
@@ -104,7 +112,6 @@ func run() error {
 		eng.SetSharedStore(true)
 	}
 	eng.SetCacheLimit(*cacheMax)
-	eng.SetTraceReplay(!*noReplay)
 	eng.SetSegments(*segments)
 	eng.SetSegmentPhases(*segPhases)
 

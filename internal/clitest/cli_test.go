@@ -4,6 +4,7 @@ package clitest
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -393,11 +394,12 @@ func TestCesweepStaleTraceFormat(t *testing.T) {
 	}
 }
 
-// TestCesweepSegmentedCorruptChunk: with segment-parallel replay, a
-// chunk corrupted mid-trace must be detected by a checksum at read
-// time, dropped and recaptured — and the deterministic metrics of the
-// damaged-then-recaptured run must be byte-identical to the clean
-// run's, proving no segment worker ever consumed torn data.
+// TestCesweepSegmentedCorruptChunk: with phase-sampled replay, a chunk
+// that a phase representative reads, corrupted on disk, must be
+// detected by a checksum at read time, dropped and recaptured — and the
+// deterministic metrics of the damaged-then-recaptured run must be
+// byte-identical to the clean run's, proving no segment worker ever
+// consumed torn data.
 func TestCesweepSegmentedCorruptChunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
@@ -406,25 +408,47 @@ func TestCesweepSegmentedCorruptChunk(t *testing.T) {
 	traces := filepath.Join(dir, "traces")
 	clean := filepath.Join(dir, "clean.json")
 	damaged := filepath.Join(dir, "damaged.json")
-	mustRun(t, "cesweep", "-fig", "13", "-segments", "8", "-trace-dir", traces, "-metrics-det", clean)
+	plan := []string{"-fig", "13", "-segments", "8", "-phases", "4", "-trace-dir", traces}
+	mustRun(t, "cesweep", append(plan, "-metrics-det", clean)...)
 
-	files, err := filepath.Glob(filepath.Join(traces, "*.cetrace"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no trace files captured (err %v)", err)
-	}
-	sort.Strings(files)
-	// Flip a byte inside the first chunk's packed records (the file
-	// header is 40 bytes), invalidating its checksum but nothing else.
-	f, err := os.OpenFile(files[0], os.O_RDWR, 0)
+	// Chunks are verified lazily, on load, so the flip must land in a
+	// chunk some representative is certain to read: the one holding the
+	// first representative's start, under the same plan the sweep uses.
+	w, err := prog.ByName("compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xFF}, 40+64); err != nil {
+	p, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.ReadFile(traces, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := tr.Segments(8)
+	phases := tr.SegmentPhases(segs, 4)
+	tr.Close()
+	if len(phases) == 0 {
+		t.Fatal("compress yields no phases")
+	}
+	// The packed stream starts after the 40-byte file header.
+	off := int64(40 + segs[phases[0].Rep].Start.Pos)
+	f, err := os.OpenFile(trace.DiskPath(traces, p), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, off); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
-	out := mustRun(t, "cesweep", "-fig", "13", "-segments", "8", "-v", "-trace-dir", traces, "-metrics-det", damaged)
+	out := mustRun(t, "cesweep", append(plan, "-v", "-metrics-det", damaged)...)
 	if !strings.Contains(out, "1 corrupt traces dropped") {
 		t.Errorf("corrupt chunk not counted:\n%s", out)
 	}
@@ -432,11 +456,36 @@ func TestCesweepSegmentedCorruptChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(damaged)
+	b, err = os.ReadFile(damaged)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
 		t.Errorf("deterministic metrics diverge after mid-trace corruption:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestSegmentFlagsNeedEachOther: -segments or -phases alone is a usage
+// error (exit 2) in both sweep tools, before any simulation starts.
+func TestSegmentFlagsNeedEachOther(t *testing.T) {
+	for _, c := range []struct {
+		tool string
+		args []string
+	}{
+		{"cesweep", []string{"-fig", "13", "-segments", "8"}},
+		{"cesweep", []string{"-fig", "13", "-phases", "4"}},
+		{"cesweep", []string{"-fig", "13", "-segments", "1", "-phases", "4"}},
+		{"cesweepd", []string{"-addr", "localhost:0", "-segments", "8"}},
+		{"cesweepd", []string{"-addr", "localhost:0", "-phases", "4"}},
+	} {
+		out, err := run(t, c.tool, c.args...)
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%s %v: %v, want exit status 2\n%s", c.tool, c.args, err, out)
+			continue
+		}
+		if !strings.Contains(out, "phase sampling needs both") {
+			t.Errorf("%s %v: no usage error:\n%s", c.tool, c.args, out)
+		}
 	}
 }

@@ -1,19 +1,19 @@
 package pipeline
 
-// Segment runs: boot a Simulator from a trace boundary, discard a
-// warmup prefix, measure a window, and return the window's Stats delta.
-//
-// The exactness argument for full warmup is telescoping: the run loop
-// stops at the first cycle boundary on which the committed count has
-// crossed the target, so a full-warmup segment run is the *identical*
-// deterministic simulation as the monolithic run, merely snapshotted at
-// two extra points. Every Stats counter is cumulative and monotone, so
-// the per-segment deltas of consecutive segments share their interior
-// snapshots and sum — exactly, field for field, bucket for bucket — to
-// the monolithic totals. Under adaptive warmup the predictor, caches
-// and window state are only approximately warm at the measurement
-// boundary and the result is an estimate; the phase-sampled plan in the
+// Segment runs: boot a Simulator cold at a trace boundary, discard a
+// warmup prefix until IPC converges, measure the rest of the segment,
+// and return the window's Stats delta. The predictor, caches and
+// window state are only approximately warm when the measurement window
+// opens, so a segment run is an estimate; the phase-sampled plan in the
 // root package puts confidence intervals on it.
+//
+// SubStats and StitchStats themselves are exact. The run loop stops at
+// the first cycle boundary on which the committed count has crossed the
+// target, and every Stats counter is cumulative and monotone, so the
+// deltas between snapshots of one run at consecutive commit horizons
+// telescope: they sum — field for field, bucket for bucket — to the
+// whole run's totals. internal/verify pins this by stitching the
+// deltas of one replay snapshotted at every segment boundary.
 
 import (
 	"fmt"
@@ -57,16 +57,15 @@ func (s *Simulator) RunUntilCommitted(target uint64, maxCycles int64) (Stats, er
 	return s.snapshot(), nil
 }
 
-// SegmentOpts selects how a segment run warms microarchitectural state
-// before its measurement window opens. The zero value replays the full
-// prefix from the trace start: the exact plan.
+// SegmentOpts is ignored; it stays only because perfbench's layer probe
+// passes one. Every segment run warms adaptively: the replay starts
+// cold at the segment boundary and discards the segment's own leading
+// adaptiveWindow-instruction sub-windows until two consecutive windows'
+// IPC agree within adaptiveTol, discarding at most adaptiveCap
+// instructions and never more than half the segment, so every segment
+// yields a measurement.
 type SegmentOpts struct {
-	// Adaptive replaces the full prefix with IPC-convergence detection:
-	// the replay starts cold at the segment boundary and discards the
-	// segment's own leading adaptiveWindow-instruction sub-windows until
-	// two consecutive windows' IPC agree within adaptiveTol, discarding
-	// at most adaptiveCap instructions and never more than half the
-	// segment, so every segment yields a measurement.
+	// Adaptive is ignored: warmup is always adaptive.
 	Adaptive bool
 }
 
@@ -80,22 +79,19 @@ const (
 // SegmentReport describes what a segment run discarded as warmup.
 type SegmentReport struct {
 	// WarmupSteps is how many committed instructions were discarded
-	// before the measurement window opened (the whole prefix under full
-	// warmup).
+	// before the measurement window opened.
 	WarmupSteps uint64
-	// Converged reports whether adaptive warmup's windowed IPC settled
-	// before the cap. Always true under full warmup.
+	// Converged reports whether the windowed IPC settled before the cap.
 	Converged bool
 }
 
-// RunSegmentOpts simulates one trace segment under cfg with the given
-// warmup policy and returns the measurement window [seg.Start, seg.End)'s
-// Stats delta plus a report of what was discarded. Host telemetry
-// covers the warmup leg too — that cost is real work this segment run
-// performed.
-func RunSegmentOpts(cfg Config, tr *trace.Trace, seg trace.Segment, opts SegmentOpts, maxCycles int64) (Stats, SegmentReport, error) {
-	start := tr.WarmStart(seg, !opts.Adaptive)
-	rd, err := trace.NewReaderAt(tr, start)
+// RunSegmentOpts simulates one trace segment under cfg, starting cold
+// at seg.Start under adaptive warmup (opts is ignored; see
+// SegmentOpts), and returns the measurement window's Stats delta plus
+// a report of what was discarded. Host telemetry covers the warmup leg
+// too — that cost is real work this segment run performed.
+func RunSegmentOpts(cfg Config, tr *trace.Trace, seg trace.Segment, _ SegmentOpts, maxCycles int64) (Stats, SegmentReport, error) {
+	rd, err := trace.NewReaderAt(tr, seg.Start)
 	if err != nil {
 		return Stats{}, SegmentReport{}, err
 	}
@@ -109,20 +105,11 @@ func RunSegmentOpts(cfg Config, tr *trace.Trace, seg trace.Segment, opts Segment
 	startAllocs := ms.Mallocs
 	startWall := time.Now() //ce:nondet-ok host-performance telemetry (HostWallSeconds), not simulated time
 
-	var (
-		warm   Stats
-		report SegmentReport
-	)
-	if opts.Adaptive {
-		warm, report, err = sim.adaptiveWarm(seg, maxCycles)
-	} else {
-		warm, err = sim.RunUntilCommitted(seg.Start.Step-start.Step, maxCycles)
-		report = SegmentReport{WarmupSteps: warm.Committed, Converged: true}
-	}
+	warm, report, err := sim.adaptiveWarm(seg, maxCycles)
 	if err != nil {
 		return warm, report, err
 	}
-	end, err := sim.RunUntilCommitted(seg.End.Step-start.Step, maxCycles)
+	end, err := sim.RunUntilCommitted(seg.Steps(), maxCycles)
 	if err != nil {
 		return end, report, err
 	}
@@ -236,10 +223,10 @@ func SubStats(end, warm Stats) (Stats, error) {
 }
 
 // StitchStats sums per-segment deltas into one whole-run Stats:
-// counters add, histograms merge, host telemetry accumulates. For
-// full-warmup segments of one trace the result is bit-identical to the
-// monolithic run (see the package comment for why); internal/verify
-// pins this.
+// counters add, histograms merge, host telemetry accumulates. For the
+// deltas between consecutive snapshots of one run the result is
+// bit-identical to the whole run (see the package comment for why);
+// internal/verify pins this.
 func StitchStats(parts []Stats) (Stats, error) {
 	if len(parts) == 0 {
 		return Stats{}, fmt.Errorf("stats: stitching zero segments")

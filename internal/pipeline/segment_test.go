@@ -78,9 +78,11 @@ func TestRunUntilCommittedMatchesRun(t *testing.T) {
 	eqDeterministic(t, "run-until-committed", got, want)
 }
 
-// TestSegmentStitchingExact is the package-level exactness differential:
-// full-warmup segment runs stitched together must reproduce the
-// monolithic run bit for bit — every counter, every histogram bucket.
+// TestSegmentStitchingExact is the package-level exactness differential
+// for SubStats and StitchStats: one replay snapshotted at every segment
+// boundary, its consecutive deltas stitched back together, must
+// reproduce the monolithic run bit for bit — every counter, every
+// histogram bucket.
 func TestSegmentStitchingExact(t *testing.T) {
 	tr := captureWorkload(t, "micro.branchy")
 	for _, mk := range []struct {
@@ -104,15 +106,27 @@ func TestSegmentStitchingExact(t *testing.T) {
 		if len(segs) < 2 {
 			t.Fatalf("micro.branchy yielded %d segments, want ≥ 2", len(segs))
 		}
+		sim, err = NewReplay(c, trace.NewReader(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, err := sim.RunUntilCommitted(0, 50_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
 		parts := make([]Stats, len(segs))
 		for i, seg := range segs {
-			parts[i], _, err = RunSegmentOpts(c, tr, seg, SegmentOpts{}, 50_000_000)
+			snap, err := sim.RunUntilCommitted(seg.End.Step, 50_000_000)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if parts[i], err = SubStats(snap, prev); err != nil {
 				t.Fatal(err)
 			}
 			if parts[i].Committed == 0 {
 				t.Fatalf("%s segment %d committed nothing", mk.name, i)
 			}
+			prev = snap
 		}
 		stitched, err := StitchStats(parts)
 		if err != nil {
@@ -148,7 +162,7 @@ func TestSegmentAdaptiveWarmup(t *testing.T) {
 		discarded uint64
 	)
 	for _, seg := range segs {
-		st, rep, err := RunSegmentOpts(c, tr, seg, SegmentOpts{Adaptive: true}, 50_000_000)
+		st, rep, err := RunSegmentOpts(c, tr, seg, SegmentOpts{}, 50_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}

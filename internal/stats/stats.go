@@ -205,7 +205,9 @@ func (h *Histogram) MarshalJSON() ([]byte, error) {
 	return json.Marshal(h.buckets)
 }
 
-// UnmarshalJSON restores a histogram from its bucket counts.
+// UnmarshalJSON restores a histogram from its bucket counts. The total
+// saturates like every other sum here, so a decoded total is never
+// smaller than one of its buckets.
 func (h *Histogram) UnmarshalJSON(data []byte) error {
 	var buckets []uint64
 	if err := json.Unmarshal(data, &buckets); err != nil {
@@ -214,7 +216,7 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	h.buckets = buckets
 	h.total = 0
 	for _, n := range buckets {
-		h.total += n
+		h.total = satAdd(h.total, n)
 	}
 	return nil
 }

@@ -227,9 +227,10 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-// TestHistogramSaturation pins that AddN and Merge clamp at MaxUint64
-// instead of wrapping: stitching many large per-segment counts must
-// never silently overflow a total.
+// TestHistogramSaturation pins that AddN, Merge and UnmarshalJSON clamp
+// at MaxUint64 instead of wrapping: stitching many large per-segment
+// counts, or decoding a hostile entry, must never silently overflow a
+// total.
 func TestHistogramSaturation(t *testing.T) {
 	h := NewHistogram(4)
 	h.AddN(1, math.MaxUint64-5)
@@ -247,6 +248,14 @@ func TestHistogramSaturation(t *testing.T) {
 	// A saturated total still yields a sane (if approximate) mean.
 	if m := a.Mean(); math.IsNaN(m) || m < 0 {
 		t.Errorf("saturated mean = %g", m)
+	}
+	// Decoding (a run-cache disk entry) saturates the total too.
+	var d Histogram
+	if err := d.UnmarshalJSON([]byte("[18446744073709551615, 1]")); err != nil {
+		t.Fatal(err)
+	}
+	if d.Total() != math.MaxUint64 {
+		t.Errorf("UnmarshalJSON wrapped: total %d", d.Total())
 	}
 }
 

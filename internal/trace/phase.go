@@ -166,7 +166,7 @@ func sqDist(a, b []float64) float64 {
 // phases by their basic-block vectors, weighting each segment by its
 // dynamic instruction count. Returns nil if the trace carries no BBV
 // profile (every capture with at least one record has one); callers
-// then time every segment exactly.
+// then replay the trace monolithically.
 func (t *Trace) SegmentPhases(segs []Segment, k int) []Phase {
 	if !t.HasBBV() || len(segs) == 0 {
 		return nil

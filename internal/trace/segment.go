@@ -7,9 +7,9 @@ package trace
 // (step count, packed-stream offset, next PC) is a complete warm-start
 // point: a Reader opened there replays the identical record suffix the
 // monolithic run would have seen, with no register file or memory image
-// to restore. The segment scheduler in the root package fans a
-// workload's segments across workers and stitches the per-segment Stats
-// deltas; internal/verify pins that full-warmup stitching is exact.
+// to restore. The phase-sampled plan in the root package fans a
+// workload's representative segments across workers, each reading from
+// its own segment's Start.
 
 import (
 	"fmt"
@@ -103,21 +103,9 @@ func (t *Trace) Segments(k int) []Segment {
 	return segs
 }
 
-// WarmStart returns the boundary at which to begin replaying seg. Full
-// warmup replays from the very beginning, which makes the segment run
-// an exact stopped-early copy of the monolithic simulation and the
-// stitched statistics bit-identical to it; otherwise replay starts cold
-// at the segment's own boundary.
-func (t *Trace) WarmStart(seg Segment, full bool) Boundary {
-	if full {
-		return t.startBoundary()
-	}
-	return seg.Start
-}
-
 // NewReaderAt returns a cursor positioned at boundary b, exactly as if
 // a fresh Reader had replayed b.Step records. b must be a boundary of
-// this trace (its start, or one returned by WarmStart / Segments). Only
+// this trace (its start, or a segment's Start from Segments). Only
 // the chunk containing b is loaded; later chunks stream in as the
 // cursor crosses into them.
 func NewReaderAt(t *Trace, b Boundary) (*Reader, error) {

@@ -111,30 +111,6 @@ func TestSegmentsPartition(t *testing.T) {
 	}
 }
 
-// TestWarmStart pins warm-start boundary selection: full warmup is the
-// trace start, and a cold start is the segment's own start.
-func TestWarmStart(t *testing.T) {
-	p := mustProgram(t, "compress")
-	tr, err := Capture(p, maxInsts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := tr.Segments(4)
-	if len(segs) < 3 {
-		t.Fatalf("want ≥3 segments, got %d", len(segs))
-	}
-	seg := segs[2]
-	if ws := tr.WarmStart(seg, true); ws != tr.startBoundary() {
-		t.Errorf("full warmup starts at %+v, want the trace start", ws)
-	}
-	if ws := tr.WarmStart(seg, false); ws != seg.Start {
-		t.Errorf("cold start at %+v, want the segment start %+v", ws, seg.Start)
-	}
-	if ws := tr.WarmStart(segs[0], false); ws.Step != 0 {
-		t.Errorf("first segment's cold start at step %d, want 0", ws.Step)
-	}
-}
-
 // TestDiskRoundTripBounds pins that the v2 format round-trips the
 // boundary table byte-for-byte.
 func TestDiskRoundTripBounds(t *testing.T) {

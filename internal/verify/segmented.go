@@ -1,12 +1,12 @@
 package verify
 
-// Differential verification of the segment-parallel seam
-// (internal/pipeline's segment.go, orchestrated by the root package):
-// stitched full-warmup segment runs must equal the monolithic replay
-// run on every deterministic statistic, and the phase-sampled estimate
-// must land inside its stated error bars. Generated panel
-// programs are too short to cross a boundary, so this check runs on
-// named workloads long enough to segment.
+// Differential verification of the segment seam (internal/pipeline's
+// segment.go, orchestrated by the root package): the deltas of one
+// replay snapshotted at every segment boundary must stitch back to the
+// monolithic run on every deterministic statistic, and the
+// phase-sampled estimate must land inside its stated error bars.
+// Generated panel programs are too short to cross a boundary, so this
+// check runs on named workloads long enough to segment.
 
 import (
 	"fmt"
@@ -24,10 +24,10 @@ import (
 // over segments cannot see).
 const sampledTolerance = 0.10
 
-// CheckSegmented differentially verifies segment-parallel simulation of
-// one named workload against every replay-capable panel configuration,
-// cutting the trace into (up to) k segments. Wrong-path configurations
-// are skipped: they cannot replay, so the engine never segments them.
+// CheckSegmented differentially verifies the segment seam of one named
+// workload against every replay-capable panel configuration, cutting
+// the trace into (up to) k segments. Wrong-path configurations are
+// skipped: they cannot replay, so the engine never segments them.
 func CheckSegmented(workload string, k int) error {
 	w, err := prog.ByName(workload)
 	if err != nil {
@@ -44,14 +44,8 @@ func CheckSegmented(workload string, k int) error {
 	if tr.Boundaries() == 0 {
 		return fmt.Errorf("verify: %s (%d steps) has no segment boundaries; pick a longer workload", workload, tr.Steps())
 	}
-	for _, cfg := range Panel() {
-		if cfg.WrongPathExecution {
-			continue
-		}
-		bare := cfg
-		bare.CheckInvariants = false
-		bare.RecordTimeline = false
-		if err := checkSegmentedOne(bare, tr, k); err != nil {
+	for _, cfg := range replayPanel() {
+		if _, err := checkSegmentedOne(cfg, tr, k); err != nil {
 			return err
 		}
 	}
@@ -61,11 +55,11 @@ func CheckSegmented(workload string, k int) error {
 // CheckSegmentedStreamed is CheckSegmented through the disk-backed
 // path: the workload is captured twice, once in memory and once
 // streamed into dir, and the two traces must agree on every execution
-// property; then every replay-capable panel configuration must produce
-// identical monolithic statistics from both traces (the streamed
-// reader is byte-equivalent to the in-memory one), and the segmented
-// seam is re-verified over the streamed trace, whose segment workers
-// seek and stream their chunks from the file.
+// property. Then, for every replay-capable panel configuration, the
+// segment seam is verified over both traces, and every run timed from
+// disk — the monolithic replay, and each phase representative whose
+// reader seeks to its segment and streams its chunks from the file —
+// must equal its in-memory twin field for field.
 func CheckSegmentedStreamed(workload string, k int, dir string) error {
 	w, err := prog.ByName(workload)
 	if err != nil {
@@ -89,71 +83,89 @@ func CheckSegmentedStreamed(workload string, k int, dir string) error {
 	if mem.StateHash() != disk.StateHash() {
 		return fmt.Errorf("verify: %s: streamed capture's final state diverges from the in-memory capture's", workload)
 	}
-	for _, cfg := range Panel() {
-		if cfg.WrongPathExecution {
-			continue
-		}
-		bare := cfg
-		bare.CheckInvariants = false
-		bare.RecordTimeline = false
-		fromMem, err := replayMono(bare, mem)
+	for _, cfg := range replayPanel() {
+		fromMem, err := checkSegmentedOne(cfg, mem, k)
 		if err != nil {
-			return fmt.Errorf("verify: %s on %s: %w", workload, bare.Name, err)
-		}
-		fromDisk, err := replayMono(bare, disk)
-		if err != nil {
-			return fmt.Errorf("verify: %s on %s (streamed): %w", workload, bare.Name, err)
-		}
-		if err := diffStats(fromDisk, fromMem); err != nil {
-			return fmt.Errorf("verify: %s on %s: streamed reader diverges from in-memory: %w", workload, bare.Name, err)
-		}
-		if err := checkSegmentedOne(bare, disk, k); err != nil {
 			return err
+		}
+		fromDisk, err := checkSegmentedOne(cfg, disk, k)
+		if err != nil {
+			return err
+		}
+		if len(fromDisk) != len(fromMem) {
+			return fmt.Errorf("verify: %s on %s: streamed trace yields %d phase representatives, in-memory %d",
+				workload, cfg.Name, len(fromDisk)-1, len(fromMem)-1)
+		}
+		for i := range fromDisk {
+			if err := diffStats(fromDisk[i], fromMem[i]); err != nil {
+				return fmt.Errorf("verify: %s on %s: streamed run %d (0 is monolithic, then the phase representatives) diverges from in-memory: %w",
+					workload, cfg.Name, i, err)
+			}
 		}
 	}
 	return nil
 }
 
-func replayMono(cfg pipeline.Config, tr *trace.Trace) (pipeline.Stats, error) {
-	sim, err := pipeline.NewReplay(cfg, trace.NewReader(tr))
-	if err != nil {
-		return pipeline.Stats{}, err
+// replayPanel returns the panel's replay-capable configurations with
+// invariant checking and timelines off.
+func replayPanel() []pipeline.Config {
+	var cfgs []pipeline.Config
+	for _, cfg := range Panel() {
+		if !cfg.WrongPathExecution {
+			cfg.CheckInvariants, cfg.RecordTimeline = false, false
+			cfgs = append(cfgs, cfg)
+		}
 	}
-	return sim.Run(maxCycles)
+	return cfgs
 }
 
-func checkSegmentedOne(cfg pipeline.Config, tr *trace.Trace, k int) error {
+// checkSegmentedOne verifies the segment seam of one configuration and
+// returns the runs it timed: the monolithic replay, then each phase
+// representative.
+func checkSegmentedOne(cfg pipeline.Config, tr *trace.Trace, k int) ([]pipeline.Stats, error) {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("verify: %s on %s (segmented): %s", tr.Program().Name, cfg.Name, fmt.Sprintf(format, args...))
 	}
 	sim, err := pipeline.NewReplay(cfg, trace.NewReader(tr))
 	if err != nil {
-		return fail("%v", err)
+		return nil, fail("%v", err)
 	}
 	mono, err := sim.Run(maxCycles)
 	if err != nil {
-		return fail("%v", err)
+		return nil, fail("%v", err)
 	}
 	segs := tr.Segments(k)
 	if len(segs) < 2 {
-		return fail("Segments(%d) produced %d segments from %d boundaries", k, len(segs), tr.Boundaries())
+		return nil, fail("Segments(%d) produced %d segments from %d boundaries", k, len(segs), tr.Boundaries())
 	}
 
-	// Exact regime: full warmup, every segment. The stitched statistics
-	// must equal the monolithic run's on every deterministic field.
+	// Stitching exactness: one replay snapshotted at every segment
+	// boundary. Its consecutive deltas telescope, so stitched they must
+	// equal the monolithic run on every deterministic field.
+	if sim, err = pipeline.NewReplay(cfg, trace.NewReader(tr)); err != nil {
+		return nil, fail("%v", err)
+	}
+	prev, err := sim.RunUntilCommitted(0, maxCycles)
+	if err != nil {
+		return nil, fail("%v", err)
+	}
 	parts := make([]pipeline.Stats, len(segs))
 	for i, seg := range segs {
-		parts[i], _, err = pipeline.RunSegmentOpts(cfg, tr, seg, pipeline.SegmentOpts{}, maxCycles)
-		if err != nil {
-			return fail("segment %d: %v", i, err)
+		snap, err := sim.RunUntilCommitted(seg.End.Step, maxCycles)
+		if err == nil {
+			parts[i], err = pipeline.SubStats(snap, prev)
 		}
+		if err != nil {
+			return nil, fail("segment %d: %v", i, err)
+		}
+		prev = snap
 	}
 	stitched, err := pipeline.StitchStats(parts)
 	if err != nil {
-		return fail("%v", err)
+		return nil, fail("%v", err)
 	}
 	if err := diffStats(stitched, mono); err != nil {
-		return fail("full-warmup stitch: %v", err)
+		return nil, fail("snapshot stitch: %v", err)
 	}
 
 	// Phase-sampled regime: one representative per behavior cluster (at
@@ -162,24 +174,26 @@ func checkSegmentedOne(cfg pipeline.Config, tr *trace.Trace, k int) error {
 	// monolithic IPC.
 	phases := tr.SegmentPhases(segs, (len(segs)+1)/2)
 	if len(phases) == 0 {
-		return fail("%d segments yielded no phases", len(segs))
+		return nil, fail("%d segments yielded no phases", len(segs))
 	}
+	runs := []pipeline.Stats{mono}
 	ipcs := make([]float64, len(phases))
 	weights := make([]float64, len(phases))
 	for i, ph := range phases {
-		st, _, err := pipeline.RunSegmentOpts(cfg, tr, segs[ph.Rep], pipeline.SegmentOpts{Adaptive: true}, maxCycles)
+		st, _, err := pipeline.RunSegmentOpts(cfg, tr, segs[ph.Rep], pipeline.SegmentOpts{}, maxCycles)
 		if err != nil {
-			return fail("phase representative %d: %v", ph.Rep, err)
+			return nil, fail("phase representative %d: %v", ph.Rep, err)
 		}
+		runs = append(runs, st)
 		ipcs[i], weights[i] = st.IPC(), ph.Weight
 	}
 	mean, half := stats.WeightedMeanCI95(ipcs, weights)
 	slack := half + sampledTolerance*mean
 	if d := mean - mono.IPC(); d > slack || d < -slack {
-		return fail("sampled IPC %.4f ± %.4f misses monolithic %.4f (tolerance %.4f)",
+		return nil, fail("sampled IPC %.4f ± %.4f misses monolithic %.4f (tolerance %.4f)",
 			mean, half, mono.IPC(), slack)
 	}
-	return nil
+	return runs, nil
 }
 
 // diffStats reports the first deterministic statistic on which got

@@ -67,7 +67,7 @@ func TestDifferentialSeededCorpus(t *testing.T) {
 }
 
 // TestCheckSegmented pins the segment-parallel seam on a workload long
-// enough to cross warm-start boundaries: exact stitching equals the
+// enough to cross warm-start boundaries: snapshot stitching equals the
 // monolithic run on every replay-capable panel configuration, and
 // sampled stitching stays inside its error bars.
 func TestCheckSegmented(t *testing.T) {
@@ -78,8 +78,10 @@ func TestCheckSegmented(t *testing.T) {
 
 // TestCheckSegmentedStreamed re-proves the segmented seam through the
 // disk-backed trace path: streamed capture ≡ in-memory capture,
-// streamed monolithic replay ≡ in-memory replay per configuration, and
-// exact stitching over chunk-streaming segment readers ≡ both.
+// streamed monolithic replay ≡ in-memory replay per configuration,
+// snapshot stitching holds over the streamed trace, and every phase
+// representative read through chunk-streaming segment readers ≡ its
+// in-memory twin.
 func TestCheckSegmentedStreamed(t *testing.T) {
 	if err := CheckSegmentedStreamed("micro.branchy", 4, t.TempDir()); err != nil {
 		t.Error(err)

@@ -1,27 +1,15 @@
 package ce
 
-// Segment-parallel simulation: shard one workload's trace into K
-// segments at the boundaries captured during its single functional
-// execution, time each segment independently (fanning out across CPUs),
-// and stitch the per-segment Stats back into one whole-run result.
-//
-// Two segment plans:
-//
-//   - Exact (the default): each segment replays its full prefix as
-//     warmup, so the stitched result is bit-identical to the monolithic
-//     run (the telescoping argument in internal/pipeline's segment.go)
-//     and shares the monolithic run-cache key. Total work is O(K·N), so
-//     this plan trades CPU for latency: wall clock drops only when idle
-//     cores absorb the redundant prefixes.
-//
-//   - Phase-sampled (SetSegmentPhases): segments are clustered by their
-//     basic-block vectors and one representative per cluster is timed,
-//     starting cold at its own boundary and discarding its leading
-//     windows until IPC converges (adaptive warmup). Total work drops to
-//     roughly phases · N/K records, which is where the real speedup
-//     lives; the result is a cluster-weighted estimate with a confidence
-//     interval, cached under a key suffixed with the plan so it can
-//     never shadow (or be shadowed by) an exact run.
+// Phase-sampled simulation: shard one workload's trace into K segments
+// at the boundaries captured during its single functional execution,
+// cluster the segments by their basic-block vectors, time one
+// representative per cluster independently (fanning out across CPUs),
+// and weight each by its cluster's share of the execution. Each
+// representative starts cold at its own boundary and discards its
+// leading windows until IPC converges (adaptive warmup), so total work
+// drops to roughly phases · N/K records. The result is an estimate
+// with a confidence interval, cached under a key suffixed with the plan
+// so it can never shadow (or be shadowed by) a monolithic run.
 
 import (
 	"fmt"
@@ -33,23 +21,19 @@ import (
 	"repro/internal/trace"
 )
 
-// SegmentMetrics describes how a segmented run was conducted and, for
-// phase-sampled runs, how tight the estimate is.
+// SegmentMetrics describes how a phase-sampled run was conducted and
+// how tight its estimate is.
 type SegmentMetrics struct {
 	// Segments is how many segments the trace was cut into; Simulated is
-	// how many were actually timed (== Segments for exact runs).
+	// how many were actually timed (one representative per phase).
 	Segments  int `json:"segments"`
 	Simulated int `json:"simulated"`
-	// Phases is the number of behavior clusters found (phase-sampled runs
-	// only; each contributes one timed representative).
+	// Phases is the number of behavior clusters found; each contributes
+	// one timed representative.
 	Phases int `json:"phases,omitempty"`
-	// Exact reports whether the stitched result is bit-identical to the
-	// monolithic run (full warmup, every segment timed).
-	Exact bool `json:"exact"`
 	// WarmupMeanSteps is the mean number of instructions each timed
 	// segment discarded under adaptive warmup, and WarmupConverged counts
-	// segments whose windowed IPC settled before the cap (phase-sampled
-	// runs only).
+	// segments whose windowed IPC settled before the cap.
 	WarmupMeanSteps float64 `json:"warmup_mean_steps,omitempty"`
 	WarmupConverged int     `json:"warmup_converged,omitempty"`
 	// IPCMean and IPCHalfCI95 summarize the timed segments' IPC
@@ -58,13 +42,13 @@ type SegmentMetrics struct {
 	IPCMean     float64 `json:"ipc_mean"`
 	IPCHalfCI95 float64 `json:"ipc_half_ci95"`
 	// EstimatedCycles extrapolates the whole-run cycle count from the
-	// timed segments (equals the stitched cycles when every segment ran).
+	// timed segments.
 	EstimatedCycles int64 `json:"estimated_cycles"`
 }
 
-// SetSegments selects segment-parallel simulation for this engine's
-// replay-driven runs: each workload's trace is cut into (up to) k
-// segments timed independently. k <= 1 restores monolithic simulation.
+// SetSegments sets how many segments (up to k) a phase-sampled run cuts
+// each workload's trace into. It takes effect only together with
+// SetSegmentPhases; k <= 1 restores monolithic simulation.
 func (e *Engine) SetSegments(k int) {
 	e.traceMu.Lock()
 	e.segments = k
@@ -72,17 +56,17 @@ func (e *Engine) SetSegments(k int) {
 }
 
 // SetSegmentAdaptive is a no-op. Phase-sampled plans always warm each
-// timed segment adaptively and exact plans always replay the full
-// prefix, so there is no warmup left to choose; the setter stays only
-// because perfbench's huge-sampled workload still calls it.
+// timed segment adaptively, so there is no warmup left to choose; the
+// setter stays only because perfbench's huge-sampled workload still
+// calls it.
 func (e *Engine) SetSegmentAdaptive(bool) {}
 
-// SetSegmentPhases selects phase-sampled simulation: the trace's
-// segments are clustered into at most k phases by their basic-block
-// vectors, one representative per phase is timed under adaptive warmup
-// (see pipeline.SegmentOpts), and the results are stitched with cluster
-// weights. k <= 0 restores the exact plan: every segment timed behind
-// its full prefix.
+// SetSegmentPhases selects phase-sampled simulation: with SetSegments
+// above 1, the trace's segments are clustered into at most k phases by
+// their basic-block vectors, one representative per phase is timed
+// under adaptive warmup (see pipeline.RunSegmentOpts), and the results
+// are stitched with cluster weights. k <= 0 restores monolithic
+// simulation.
 func (e *Engine) SetSegmentPhases(k int) {
 	e.traceMu.Lock()
 	e.segPhases = k
@@ -93,13 +77,17 @@ func (e *Engine) SetSegmentPhases(k int) {
 // field feeds segmented timing, so every field must reach the run-cache
 // key segKeySuffix builds — keylint's via mode enforces it, because a
 // plan field dropped from the key would let a sampled run masquerade as
-// a different plan's (or the exact) result.
+// a different plan's (or the monolithic) result.
 //
 //ce:keyed via=segKeySuffix
 type segPlan struct {
-	k      int // segments to cut (<=1: monolithic)
-	phases int // phase-sampled (>0: at most this many phases); else exact
+	k      int // segments to cut
+	phases int // at most this many phases
 }
+
+// sampled reports whether the plan phase-samples: it needs both a cut
+// and a phase budget, and anything less runs monolithic.
+func (p segPlan) sampled() bool { return p.k > 1 && p.phases > 0 }
 
 // segmentPlan snapshots the engine's segment configuration.
 func (e *Engine) segmentPlan() segPlan {
@@ -109,18 +97,13 @@ func (e *Engine) segmentPlan() segPlan {
 }
 
 // segKeySuffix returns the run-cache key suffix for the engine's
-// current segment plan under cfg. The exact plan ("" as well as no
-// segmentation at all) shares the monolithic key — the results are
-// bit-identical, so a cache hit either way is correct. Phase-sampled
-// plans get a distinct suffix so an estimate can never masquerade as an
-// exact result. Wrong-path configurations cannot replay and therefore
-// always run monolithic, whatever the plan says.
+// current segment plan under cfg: non-empty exactly when the run is
+// phase-sampled, so an estimate never masquerades as a monolithic
+// result. Wrong-path configurations cannot replay and therefore always
+// run monolithic, whatever the plan says.
 func (e *Engine) segKeySuffix(cfg Config) string {
 	p := e.segmentPlan()
-	e.traceMu.Lock()
-	noReplay := e.noReplay
-	e.traceMu.Unlock()
-	if p.k <= 1 || p.phases <= 0 || noReplay || cfg.WrongPathExecution {
+	if !p.sampled() || cfg.WrongPathExecution {
 		return ""
 	}
 	return fmt.Sprintf("\x00segments=%d phases=%d", p.k, p.phases)
@@ -134,7 +117,7 @@ func (e *Engine) segKeySuffix(cfg Config) string {
 // read-only trace, holding one chunk buffer each for disk-backed
 // traces (K workers keep O(K) chunks resident, whatever the trace
 // size).
-func runSegments(cfg Config, tr *trace.Trace, segs []trace.Segment, pick []int, opts pipeline.SegmentOpts) ([]Stats, []pipeline.SegmentReport, error) {
+func runSegments(cfg Config, tr *trace.Trace, segs []trace.Segment, pick []int) ([]Stats, []pipeline.SegmentReport, error) {
 	parts := make([]Stats, len(pick))
 	reports := make([]pipeline.SegmentReport, len(pick))
 	var (
@@ -153,7 +136,7 @@ func runSegments(cfg Config, tr *trace.Trace, segs []trace.Segment, pick []int, 
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				st, rep, err := pipeline.RunSegmentOpts(cfg, tr, segs[pick[i]], opts, maxCycles)
+				st, rep, err := pipeline.RunSegmentOpts(cfg, tr, segs[pick[i]], pipeline.SegmentOpts{}, maxCycles)
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil || i < firstIdx {
@@ -178,43 +161,33 @@ func runSegments(cfg Config, tr *trace.Trace, segs []trace.Segment, pick []int, 
 	return parts, reports, nil
 }
 
-// runSegmented performs one segment-parallel simulation of (cfg, tr)
-// under the given plan and returns the stitched Stats plus the segment
-// metrics recorded into the run's attribution.
-//
-// A phase-sampled plan times one representative segment per behavior
-// cluster and weights it by the cluster's share of the execution, so
-// the IPC mean is cluster-weighted (stats.WeightedMeanCI95) and the
-// cycle estimate sums each phase's instructions at its representative's
-// IPC. A trace without a BBV profile runs the exact plan instead.
-func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *simAttribution) (Stats, error) {
+// runSegmented performs one phase-sampled simulation of (cfg, tr) under
+// the given plan and returns the stitched Stats plus the segment
+// metrics recorded into the run's attribution. It times one
+// representative segment per behavior cluster and weights it by the
+// cluster's share of the execution, so the IPC mean is cluster-weighted
+// (stats.WeightedMeanCI95) and the cycle estimate sums each phase's
+// instructions at its representative's IPC. ok=false (with a nil error)
+// means the trace yielded no phases — it has no BBV profile — and the
+// caller should replay it monolithically.
+func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *simAttribution) (st Stats, ok bool, err error) {
 	segs := tr.Segments(plan.k)
-	var phases []trace.Phase
-	if plan.phases > 0 {
-		phases = tr.SegmentPhases(segs, plan.phases)
+	phases := tr.SegmentPhases(segs, plan.phases)
+	if len(phases) == 0 {
+		return Stats{}, false, nil
 	}
-	exact := len(phases) == 0
-	var (
-		pick    []int
-		weights []float64 // pick[i]'s share of the execution
-	)
-	if exact {
-		for i, s := range segs {
-			pick = append(pick, i)
-			weights = append(weights, float64(s.Steps()))
-		}
+	pick := make([]int, len(phases))
+	weights := make([]float64, len(phases)) // pick[i]'s share of the execution
+	for i, ph := range phases {
+		pick[i], weights[i] = ph.Rep, ph.Weight
 	}
-	for _, ph := range phases {
-		pick = append(pick, ph.Rep)
-		weights = append(weights, ph.Weight)
-	}
-	parts, reports, err := runSegments(cfg, tr, segs, pick, pipeline.SegmentOpts{Adaptive: !exact})
+	parts, reports, err := runSegments(cfg, tr, segs, pick)
 	if err != nil {
-		return Stats{}, err
+		return Stats{}, false, err
 	}
-	st, err := pipeline.StitchStats(parts)
+	st, err = pipeline.StitchStats(parts)
 	if err != nil {
-		return Stats{}, err
+		return Stats{}, false, err
 	}
 	ipcs := make([]float64, len(parts))
 	for i, p := range parts {
@@ -224,46 +197,39 @@ func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *s
 	sm := &SegmentMetrics{
 		Segments:        len(segs),
 		Simulated:       len(parts),
-		Exact:           exact,
+		Phases:          len(phases),
 		IPCMean:         mean,
 		IPCHalfCI95:     half,
 		EstimatedCycles: st.Cycles,
 	}
-	if !exact {
-		sm.Phases = len(phases)
-		// Each phase's instructions retire at its representative's IPC.
-		var cyc float64
-		for i, w := range weights {
-			if ipcs[i] > 0 {
-				cyc += w * float64(tr.Steps()) / ipcs[i]
-			}
+	// Each phase's instructions retire at its representative's IPC.
+	var cyc float64
+	for i, w := range weights {
+		if ipcs[i] > 0 {
+			cyc += w * float64(tr.Steps()) / ipcs[i]
 		}
-		if cyc > 0 {
-			sm.EstimatedCycles = int64(cyc)
-		}
-		var steps uint64
-		for _, r := range reports {
-			steps += r.WarmupSteps
-			if r.Converged {
-				sm.WarmupConverged++
-			}
-		}
-		sm.WarmupMeanSteps = float64(steps) / float64(len(reports))
 	}
-	attr.segments = sm
-	// The segment workers' private readers decoded every measured record
-	// plus each segment's warmup prefix (WarmupSteps counts committed
-	// instructions — a close proxy for records decoded during warmup).
-	decoded := st.EmuSteps
+	if cyc > 0 {
+		sm.EstimatedCycles = int64(cyc)
+	}
+	var warmup uint64
 	for _, r := range reports {
-		decoded += r.WarmupSteps
+		warmup += r.WarmupSteps
+		if r.Converged {
+			sm.WarmupConverged++
+		}
 	}
+	sm.WarmupMeanSteps = float64(warmup) / float64(len(reports))
+	attr.segments = sm
 	e.traceMu.Lock()
 	e.tstats.ReplayRuns++
 	e.tstats.SegmentRuns++
 	e.tstats.SegmentsSimulated += len(parts)
 	e.tstats.StepsReplayed += st.EmuSteps
-	e.tstats.RecordsDecoded += decoded
+	// The segment workers' private readers decoded every measured record
+	// plus each segment's warmup prefix (WarmupSteps counts committed
+	// instructions — a close proxy for records decoded during warmup).
+	e.tstats.RecordsDecoded += st.EmuSteps + warmup
 	e.traceMu.Unlock()
-	return st, nil
+	return st, true, nil
 }

@@ -28,59 +28,17 @@ func eqStats(t *testing.T, label string, got, want Stats) {
 	}
 }
 
-// TestEngineSegmentedExactMatchesMonolithic is the engine-level
-// exactness differential: a matrix run under full-warmup segmentation
-// must reproduce the monolithic engine's results bit for bit, and its
-// runs must carry Exact segment metrics.
-func TestEngineSegmentedExactMatchesMonolithic(t *testing.T) {
+// TestEnginePhaseSampledCounterAudit runs every pair at once on a cold
+// phase-sampled engine: each counter counts each event exactly once,
+// whatever the interleaving, and every run carries its segment metrics
+// and is marked replayed.
+func TestEnginePhaseSampledCounterAudit(t *testing.T) {
 	cfgs := []Config{BaselineConfig(), DependenceConfig()}
 	ws := []string{"micro.branchy", "compress"}
 
-	mono := NewEngine()
-	want, err := mono.RunMatrix(cfgs, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := NewEngine()
-	seg.SetSegments(4)
-	got, err := seg.RunMatrix(cfgs, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci := range cfgs {
-		for wi := range ws {
-			eqStats(t, cfgs[ci].Name+"/"+ws[wi], got[ci][wi], want[ci][wi])
-		}
-	}
-	ts := seg.TraceStats()
-	if runs := len(cfgs) * len(ws); ts.SegmentRuns != runs {
-		t.Errorf("segment runs = %d, want %d", ts.SegmentRuns, runs)
-	}
-	simulated := 0
-	for _, m := range seg.Metrics() {
-		if m.Segments == nil {
-			t.Fatalf("run %s/%s carries no segment metrics", m.Config, m.Workload)
-		}
-		simulated += m.Segments.Simulated
-		if !m.Segments.Exact {
-			t.Errorf("full-warmup run %s/%s not marked exact", m.Config, m.Workload)
-		}
-		if m.Segments.Simulated != m.Segments.Segments {
-			t.Errorf("unsampled run simulated %d of %d segments", m.Segments.Simulated, m.Segments.Segments)
-		}
-		if !m.Replayed {
-			t.Errorf("segmented run %s/%s not marked replayed", m.Config, m.Workload)
-		}
-	}
-	if ts.SegmentsSimulated != simulated {
-		t.Errorf("segments simulated = %d, runs report %d", ts.SegmentsSimulated, simulated)
-	}
-
-	// Phase-sampled, every pair at once on a cold engine: each counter
-	// counts each event exactly once, whatever the interleaving.
-	phase := NewEngine()
-	phase.SetSegments(4)
-	phase.SetSegmentPhases(2)
+	eng := NewEngine()
+	eng.SetSegments(4)
+	eng.SetSegmentPhases(2)
 	var wg sync.WaitGroup
 	errs := make(chan error, len(cfgs)*len(ws))
 	for _, c := range cfgs {
@@ -88,7 +46,7 @@ func TestEngineSegmentedExactMatchesMonolithic(t *testing.T) {
 			wg.Add(1)
 			go func(c Config, w string) {
 				defer wg.Done()
-				if _, _, err := phase.RunOne(c, w); err != nil {
+				if _, _, err := eng.RunOne(c, w); err != nil {
 					errs <- err
 				}
 			}(c, w)
@@ -99,62 +57,49 @@ func TestEngineSegmentedExactMatchesMonolithic(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	ts = phase.TraceStats()
+	ts := eng.TraceStats()
 	runs := len(cfgs) * len(ws)
 	if ts.SegmentRuns != runs || ts.ReplayRuns != runs {
-		t.Errorf("phase-sampled: %d segment runs, %d replay runs, want %d each", ts.SegmentRuns, ts.ReplayRuns, runs)
+		t.Errorf("%d segment runs, %d replay runs, want %d each", ts.SegmentRuns, ts.ReplayRuns, runs)
 	}
 	if ts.Captures != len(ws) {
-		t.Errorf("phase-sampled: %d captures, want one per workload (%d)", ts.Captures, len(ws))
+		t.Errorf("%d captures, want one per workload (%d)", ts.Captures, len(ws))
 	}
-	simulated = 0
-	for _, m := range phase.Metrics() {
-		if m.Segments == nil || m.Segments.Exact {
-			t.Fatalf("run %s/%s not phase-sampled: %+v", m.Config, m.Workload, m.Segments)
+	simulated := 0
+	for _, m := range eng.Metrics() {
+		if m.Segments == nil {
+			t.Fatalf("run %s/%s carries no segment metrics", m.Config, m.Workload)
+		}
+		if !m.Replayed {
+			t.Errorf("phase-sampled run %s/%s not marked replayed", m.Config, m.Workload)
 		}
 		simulated += m.Segments.Simulated
 	}
 	if ts.SegmentsSimulated != simulated {
-		t.Errorf("phase-sampled: segments simulated = %d, runs report %d", ts.SegmentsSimulated, simulated)
+		t.Errorf("segments simulated = %d, runs report %d", ts.SegmentsSimulated, simulated)
 	}
 }
 
-// TestEngineSegmentedSharesExactCacheKey pins the cache-key policy:
-// exact segmentation shares the monolithic key (the bits are
-// identical), while the phase-sampled plan is keyed separately in both
-// directions.
-func TestEngineSegmentedSharesExactCacheKey(t *testing.T) {
+// TestEngineSampledPlanCacheKeys pins the cache-key policy on one
+// engine: the monolithic run and every phase-sampled plan — differing
+// in either the segment count or the phase budget — get keys of their
+// own, and a second pass of each plan is served from the cache.
+func TestEngineSampledPlanCacheKeys(t *testing.T) {
 	eng := NewEngine()
 	w := []string{"micro.branchy"}
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, w); err != nil {
-		t.Fatal(err)
-	}
-	if cs := eng.CacheStats(); cs.Misses != 1 {
-		t.Fatalf("monolithic run: %+v", cs)
-	}
-	// Exact segmentation: same result, so the cache may (must) serve it.
-	eng.SetSegments(4)
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, w); err != nil {
-		t.Fatal(err)
-	}
-	if cs := eng.CacheStats(); cs.Misses != 1 || cs.Saved() != 1 {
-		t.Errorf("exact segmented run did not share the monolithic key: %+v", cs)
-	}
-	// Phase sampling is an estimate: it must not be served the exact
-	// result, nor poison it for the monolithic run that follows.
-	eng.SetSegmentPhases(2)
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, w); err != nil {
-		t.Fatal(err)
-	}
-	if cs := eng.CacheStats(); cs.Misses != 2 {
-		t.Errorf("approximate plan shared the exact key: %+v", cs)
-	}
-	eng.SetSegments(0)
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, w); err != nil {
-		t.Fatal(err)
-	}
-	if cs := eng.CacheStats(); cs.Misses != 2 || cs.Saved() != 2 {
-		t.Errorf("monolithic rerun after approximate plan: %+v", cs)
+	plans := []segPlan{{0, 0}, {4, 2}, {4, 3}, {8, 2}}
+	for pass := 1; pass <= 2; pass++ {
+		for _, p := range plans {
+			eng.SetSegments(p.k)
+			eng.SetSegmentPhases(p.phases)
+			if _, err := eng.RunMatrix([]Config{BaselineConfig()}, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cs := eng.CacheStats(); cs.Misses != uint64(len(plans)) || cs.Saved() != uint64((pass-1)*len(plans)) {
+			t.Errorf("pass %d over %d plans: %d misses, %d saved; want %d misses, %d saved",
+				pass, len(plans), cs.Misses, cs.Saved(), len(plans), (pass-1)*len(plans))
+		}
 	}
 }
 
@@ -180,9 +125,6 @@ func TestEnginePhaseSampling(t *testing.T) {
 		t.Fatalf("expected one run with segment metrics, got %+v", ms)
 	}
 	sm := ms[0].Segments
-	if sm.Exact {
-		t.Error("phase-sampled run marked exact")
-	}
 	if sm.Phases < 1 || sm.Phases > 3 || sm.Simulated != sm.Phases || sm.Simulated >= sm.Segments {
 		t.Errorf("phase plan: %d phases, %d simulated of %d segments", sm.Phases, sm.Simulated, sm.Segments)
 	}
@@ -199,13 +141,13 @@ func TestEnginePhaseSampling(t *testing.T) {
 	if sm.EstimatedCycles <= 0 {
 		t.Errorf("estimated cycles %d", sm.EstimatedCycles)
 	}
-	// The estimate must not share the exact cache key.
+	// The estimate must not share the monolithic cache key.
 	eng.SetSegments(0)
 	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
 		t.Fatal(err)
 	}
 	if cs := eng.CacheStats(); cs.Misses != 2 {
-		t.Errorf("phase-sampled plan shared the exact key: %+v", cs)
+		t.Errorf("phase-sampled plan shared the monolithic key: %+v", cs)
 	}
 }
 
@@ -250,7 +192,7 @@ func TestStreamBench(t *testing.T) {
 	mono, _ := runStreamed(t, dir, workload, nil)
 	truth := mono.IPC()
 	if mono.Cycles <= 0 || truth <= 0 {
-		t.Fatalf("exact side empty: %+v", mono)
+		t.Fatalf("monolithic side empty: %+v", mono)
 	}
 	_, m := runStreamed(t, dir, workload, planPhase)
 	sm := m.Segments
@@ -286,7 +228,7 @@ func TestEnginePhaseAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sm := m.Segments
-	if sm == nil || sm.Exact || sm.Segments != 16 || sm.Simulated < 1 || sm.Simulated > 4 {
+	if sm == nil || sm.Segments != 16 || sm.Simulated < 1 || sm.Simulated > 4 {
 		t.Fatalf("phase plan broke its 4-of-16 segment budget: %+v", sm)
 	}
 	ipcErr := (sm.IPCMean - mono.IPC()) / mono.IPC() * 100

@@ -53,8 +53,8 @@ type RunMetrics struct {
 	// reported) by another run — the concurrent runs' view of the same
 	// capture. Also excluded from WallSeconds.
 	CaptureWaitSeconds float64 `json:"capture_wait_seconds,omitempty"`
-	// Segments describes the segment-parallel plan this run used, when
-	// one was active (nil for monolithic and cached results).
+	// Segments describes the phase-sampled plan this run used, when one
+	// was active (nil for monolithic and cached results).
 	Segments *SegmentMetrics `json:"segments,omitempty"`
 }
 
@@ -79,7 +79,6 @@ type Engine struct {
 	traceMu  sync.Mutex
 	traces   map[string]*traceEntry
 	traceDir string
-	noReplay bool
 	// traceShared enables the cross-process capture lease on traceDir
 	// (SetSharedStore).
 	traceShared bool
@@ -176,7 +175,7 @@ func (e *Engine) runOne(cfg Config, workload string) (Stats, RunMetrics, error) 
 	)
 	if key, ok := cfg.Key(); ok {
 		// Phase-sampled plans suffix the key so an estimate can
-		// never be recalled as (or instead of) an exact result.
+		// never be recalled as (or instead of) a monolithic result.
 		key += e.segKeySuffix(cfg)
 		st, cached, err = e.cache.Do(key+"\x00"+workload, func() (Stats, error) {
 			return e.runSim(cfg, workload, &attr)

@@ -5,10 +5,10 @@ package ce
 // configuration-independent, so the Engine captures one execution trace
 // per workload (single-flight, like the run cache) and drives every
 // replay-capable simulation from that shared read-only trace, through a
-// private trace.Reader, instead of a private lockstep emulator. Wrong-path configurations, which must
-// execute down mispredicted paths, keep the lockstep machine; the
-// differential harness in internal/verify pins that both paths produce
-// identical statistics.
+// private trace.Reader, instead of a private lockstep emulator.
+// Wrong-path configurations, which must execute down mispredicted
+// paths, keep the lockstep machine; the differential harness in
+// internal/verify pins that both paths produce identical statistics.
 
 import (
 	"errors"
@@ -52,7 +52,7 @@ type TraceStats struct {
 	// process's capture lease on the shared trace directory
 	// (Engine.SetSharedStore); each is also counted in DiskHits.
 	LeaseWaits int `json:"lease_waits,omitempty"`
-	// SegmentRuns counts replay runs conducted segment-parallel
+	// SegmentRuns counts replay runs conducted phase-sampled
 	// (segmented.go); SegmentsSimulated totals the segments they timed.
 	SegmentRuns       int `json:"segment_runs,omitempty"`
 	SegmentsSimulated int `json:"segments_simulated,omitempty"`
@@ -140,23 +140,6 @@ func (e *Engine) SetTraceDir(dir string) error {
 		}
 	}
 	return nil
-}
-
-// SetTraceReplay toggles trace-replay drive for this engine's
-// simulations (default on). With replay off every simulation executes
-// its workload in lockstep, as pipeline.New does; the results are
-// identical either way.
-func (e *Engine) SetTraceReplay(on bool) {
-	e.traceMu.Lock()
-	e.noReplay = !on
-	e.traceMu.Unlock()
-}
-
-// TraceReplay reports whether trace-replay drive is enabled.
-func (e *Engine) TraceReplay() bool {
-	e.traceMu.Lock()
-	defer e.traceMu.Unlock()
-	return !e.noReplay
 }
 
 // TraceStats returns a snapshot of the engine's trace-pool counters,
@@ -345,22 +328,22 @@ type simAttribution struct {
 	// CaptureSeconds across a sweep's runs counts each capture once.
 	captureWait float64
 	replayed    bool
-	// segments is non-nil when the run was conducted segment-parallel.
+	// segments is non-nil when the run was phase-sampled.
 	segments *SegmentMetrics
 }
 
-// runSim performs one fresh simulation for the engine, replay-driven
-// when possible. Configurations that cannot replay (wrong-path
-// execution) and capture failures fall back to lockstep execution;
-// either way the statistics are identical, only the host cost differs.
+// runSim performs one fresh simulation for the engine. The drive mode
+// follows from the configuration and the segment plan alone: a
+// wrong-path configuration, which must execute down mispredicted
+// paths, runs lockstep; every other configuration replays its
+// workload's trace, phase-sampled under a sampled plan and
+// monolithically otherwise. A capture failure also falls back to
+// lockstep; the statistics are identical, only the host cost differs.
 // The fallback is counted (TraceStats.CaptureFailures) and its first
 // cause per workload logged, so a sweep silently losing its replay
 // speedup is visible in -v output and the metrics dumps.
 func (e *Engine) runSim(cfg Config, workload string, attr *simAttribution) (Stats, error) {
-	e.traceMu.Lock()
-	replay := !e.noReplay && !cfg.WrongPathExecution
-	e.traceMu.Unlock()
-	if replay {
+	if !cfg.WrongPathExecution {
 		st, ok, err := e.runReplay(cfg, workload, attr)
 		if ok || err != nil {
 			return st, err
@@ -405,20 +388,23 @@ func (e *Engine) runReplay(cfg Config, workload string, attr *simAttribution) (S
 			e.dropCorrupt(workload, tr)
 			return true
 		}
-		if plan := e.segmentPlan(); plan.k > 1 {
-			// Segment-parallel drive. Errors other than chunk corruption
+		if plan := e.segmentPlan(); plan.sampled() {
+			// Phase-sampled drive. Errors other than chunk corruption
 			// surface rather than fall back: a failing segment run means a
 			// real defect (the seam is differentially verified), not a
-			// workload property.
-			st, err := e.runSegmented(cfg, tr, plan, attr)
+			// workload property. A trace with no phases replays
+			// monolithically below.
+			st, ok, err := e.runSegmented(cfg, tr, plan, attr)
 			if err != nil {
 				if retry(err) {
 					continue
 				}
 				return st, false, err
 			}
-			attr.replayed = true
-			return st, true, nil
+			if ok {
+				attr.replayed = true
+				return st, true, nil
+			}
 		}
 		// Monolithic replay: a private streaming Reader.
 		rd := trace.NewReader(tr)

@@ -1,7 +1,6 @@
 package ce
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -11,67 +10,61 @@ import (
 	"repro/internal/trace"
 )
 
-// TestEngineTracePoolEquivalence pins the engine-level replay contract:
-// a matrix run with the trace pool (default) and one with lockstep
-// drive produce identical simulation results, each workload is captured
-// exactly once however many configurations consume it, wrong-path
-// configurations fall back to lockstep, and the capture cost is
-// attributed to the pool rather than to any run.
+// TestEngineTracePoolEquivalence pins the engine-level replay contract
+// over the configurations of Figure 13 and the speedup estimate on
+// every paper workload: the trace pool's results equal lockstep
+// execution (Run), each workload is captured exactly once however many
+// configurations consume it, a wrong-path configuration falls back to
+// lockstep, and the capture cost is attributed to the pool rather than
+// to any run.
 func TestEngineTracePoolEquivalence(t *testing.T) {
 	wp := BaselineConfig()
 	wp.WrongPathExecution = true
 	wp.Name += "+wrong-path"
-	cfgs := []Config{BaselineConfig(), DependenceConfig(), wp}
-	workloads := []string{"compress", "micro.branchy"}
+	workloads := Workloads()
 
-	replayEng := NewEngine()
-	lockEng := NewEngine()
-	lockEng.SetTraceReplay(false)
-
-	got, err := replayEng.RunMatrix(cfgs, workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := lockEng.RunMatrix(cfgs, workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
-		for j := range workloads {
-			a, b := got[i][j], want[i][j]
-			if a.IssuedPerCycle.Total() != b.IssuedPerCycle.Total() ||
-				a.IssuedPerCycle.Mean() != b.IssuedPerCycle.Mean() {
-				t.Errorf("%s/%s: issue histograms diverge", cfgs[i].Name, workloads[j])
-			}
-			a.HostAllocs, b.HostAllocs = 0, 0
-			a.HostWallSeconds, b.HostWallSeconds = 0, 0
-			a.IssuedPerCycle, b.IssuedPerCycle = nil, nil
-			if a != b {
-				t.Errorf("%s/%s: replay-driven stats diverge from lockstep:\n  %+v\n  %+v",
-					cfgs[i].Name, workloads[j], a, b)
+	eng := NewEngine()
+	equivalent := func(cfgs []Config, ws []string) {
+		got, err := eng.RunMatrix(cfgs, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i, cfg := range cfgs {
+			for j, w := range ws {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					want, err := Run(cfg, w)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					eqStats(t, cfg.Name+"/"+w+" engine vs lockstep", got[i][j], want)
+				}()
 			}
 		}
+		wg.Wait()
 	}
+	equivalent([]Config{BaselineConfig(), DependenceConfig(), ClusteredDependenceConfig()}, workloads)
+	equivalent([]Config{wp}, []string{"micro.branchy"})
 
-	ts := replayEng.TraceStats()
+	ts := eng.TraceStats()
 	if ts.Captures != len(workloads) || ts.DiskHits != 0 {
-		t.Errorf("replay engine captured %d workloads (%d disk hits), want %d captures",
+		t.Errorf("engine captured %d workloads (%d disk hits), want %d captures",
 			ts.Captures, ts.DiskHits, len(workloads))
 	}
-	if ts.ReplayRuns != 4 || ts.LockstepRuns != 2 {
-		t.Errorf("replay engine ran %d replay / %d lockstep sims, want 4 / 2 (wrong-path falls back)",
-			ts.ReplayRuns, ts.LockstepRuns)
+	if replay, lock := 3*len(workloads), 1; ts.ReplayRuns != replay || ts.LockstepRuns != lock {
+		t.Errorf("engine ran %d replay / %d lockstep sims, want %d / %d (wrong-path falls back)",
+			ts.ReplayRuns, ts.LockstepRuns, replay, lock)
 	}
 	if ts.StepsReplayed == 0 || ts.StepsExecuted == 0 {
 		t.Errorf("degenerate step balance: %+v", ts)
 	}
-	if ls := lockEng.TraceStats(); ls.Captures != 0 || ls.ReplayRuns != 0 || ls.LockstepRuns != 6 {
-		t.Errorf("lockstep engine touched the trace pool: %+v", ls)
-	}
 
 	// Per-run metrics: fresh runs are marked by drive mode, and capture
 	// time is reported separately from (not inside) the run's wall time.
-	for _, m := range replayEng.Metrics() {
+	for _, m := range eng.Metrics() {
 		if m.Cached {
 			continue
 		}
@@ -79,14 +72,12 @@ func TestEngineTracePoolEquivalence(t *testing.T) {
 		if m.Replayed != wantReplay {
 			t.Errorf("%s/%s: Replayed = %v, want %v", m.Config, m.Workload, m.Replayed, wantReplay)
 		}
+		if !wantReplay && m.CaptureSeconds != 0 {
+			t.Errorf("%s/%s: lockstep run carries capture attribution: %+v", m.Config, m.Workload, m)
+		}
 		if m.WallSeconds < 0 || m.CaptureSeconds < 0 {
 			t.Errorf("%s/%s: negative attribution: wall %g capture %g",
 				m.Config, m.Workload, m.WallSeconds, m.CaptureSeconds)
-		}
-	}
-	for _, m := range lockEng.Metrics() {
-		if !m.Cached && (m.Replayed || m.CaptureSeconds != 0) {
-			t.Errorf("%s/%s: lockstep run carries replay attribution: %+v", m.Config, m.Workload, m)
 		}
 	}
 }
@@ -199,9 +190,7 @@ func TestEngineCaptureFailureCounted(t *testing.T) {
 	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lock := NewEngine()
-	lock.SetTraceReplay(false)
-	want, err := lock.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"})
+	want, err := Run(BaselineConfig(), "micro.branchy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +198,8 @@ func TestEngineCaptureFailureCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0][0].Cycles != want[0][0].Cycles {
-		t.Errorf("fallback run diverges: %d cycles vs %d", got[0][0].Cycles, want[0][0].Cycles)
+	if got[0][0].Cycles != want.Cycles {
+		t.Errorf("fallback run diverges: %d cycles vs %d", got[0][0].Cycles, want.Cycles)
 	}
 	ts := eng.TraceStats()
 	if ts.CaptureFailures != 1 || ts.LockstepRuns != 1 || ts.ReplayRuns != 0 {
@@ -228,43 +217,59 @@ func TestEngineCaptureFailureCounted(t *testing.T) {
 // checksum at the next load, is dropped and invalidated, and the run
 // transparently recaptures and retries — correct results, one
 // CorruptDropped count, two Captures. The segmented variant routes the
-// replay through parallel segment workers, so the corrupt chunk is
-// observed (and the retry coordinated) across concurrent readers —
-// which the race detector checks for tearing.
+// replay through a phase-sampled plan's parallel segment workers, so
+// the corrupt chunk is observed (and the retry coordinated) across
+// concurrent readers — which the race detector checks for tearing.
 func TestEngineCorruptTraceRecaptured(t *testing.T) {
-	t.Run("monolithic", func(t *testing.T) { testCorruptTraceRecaptured(t, 0) })
-	t.Run("segmented", func(t *testing.T) { testCorruptTraceRecaptured(t, 4) })
+	t.Run("monolithic", func(t *testing.T) { testCorruptTraceRecaptured(t, nil) })
+	t.Run("segmented", func(t *testing.T) { testCorruptTraceRecaptured(t, planSmall) })
 }
 
-func testCorruptTraceRecaptured(t *testing.T, segments int) {
+// planSmall phase-samples at most 2 of 4 segments.
+func planSmall(e *Engine) {
+	e.SetSegments(4)
+	e.SetSegmentPhases(2)
+}
+
+// newPlanned returns a fresh engine under plan (nil: monolithic).
+func newPlanned(plan func(*Engine)) *Engine {
 	eng := NewEngine()
-	eng.SetSegments(segments)
+	if plan != nil {
+		plan(eng)
+	}
+	return eng
+}
+
+func testCorruptTraceRecaptured(t *testing.T, plan func(*Engine)) {
+	const workload = "micro.branchy"
+	// The reference: lockstep execution for a monolithic run, a clean
+	// engine under the same plan for a phase-sampled estimate.
+	want, err := Run(DependenceConfig(), workload)
+	if plan != nil {
+		want, _, err = newPlanned(plan).RunOne(DependenceConfig(), workload)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newPlanned(plan)
 	dir := t.TempDir()
 	if err := eng.SetTraceDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
+	if _, err := eng.RunMatrix([]Config{BaselineConfig()}, []string{workload}); err != nil {
 		t.Fatal(err)
 	}
 	// The pooled trace reads through an open handle, so the flip is
 	// visible to its next chunk load.
-	rotFirstChunk(t, dir, "micro.branchy")
+	rotReadChunk(t, dir, workload, plan != nil)
 
 	// A different configuration misses the run cache and replays the now
 	// rotten trace; the engine must drop it, recapture, and succeed.
-	lock := NewEngine()
-	lock.SetTraceReplay(false)
-	want, err := lock.RunMatrix([]Config{DependenceConfig()}, []string{"micro.branchy"})
+	got, err := eng.RunMatrix([]Config{DependenceConfig()}, []string{workload})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.RunMatrix([]Config{DependenceConfig()}, []string{"micro.branchy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0][0].Cycles != want[0][0].Cycles {
-		t.Errorf("recaptured run diverges: %d cycles vs %d", got[0][0].Cycles, want[0][0].Cycles)
-	}
+	eqStats(t, "recaptured run", got[0][0], want)
 	ts := eng.TraceStats()
 	if ts.CorruptDropped != 1 {
 		t.Errorf("CorruptDropped = %d, want 1 (%+v)", ts.CorruptDropped, ts)
@@ -280,7 +285,7 @@ func testCorruptTraceRecaptured(t *testing.T, segments int) {
 	if err := eng2.SetTraceDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng2.RunMatrix([]Config{BaselineConfig()}, []string{"micro.branchy"}); err != nil {
+	if _, err := eng2.RunMatrix([]Config{BaselineConfig()}, []string{workload}); err != nil {
 		t.Fatal(err)
 	}
 	if ts := eng2.TraceStats(); ts.DiskHits != 1 {
@@ -288,10 +293,13 @@ func testCorruptTraceRecaptured(t *testing.T, segments int) {
 	}
 }
 
-// rotFirstChunk flips one byte inside the first chunk's packed records
-// of workload's trace file in dir (the file header is 40 bytes),
-// invalidating that chunk's checksum but nothing else.
-func rotFirstChunk(t *testing.T, dir, workload string) {
+// rotReadChunk flips one byte of workload's trace file in dir inside a
+// chunk the next replay is certain to read, invalidating that chunk's
+// checksum but nothing else. Chunks are verified lazily, on load, so
+// the flip must land where a reader starts: the first chunk for a
+// monolithic replay, and the chunk holding the first phase
+// representative's start under planSmall.
+func rotReadChunk(t *testing.T, dir, workload string, sampled bool) {
 	t.Helper()
 	w, err := prog.ByName(workload)
 	if err != nil {
@@ -301,12 +309,33 @@ func rotFirstChunk(t *testing.T, dir, workload string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var pos uint64
+	if sampled {
+		tr, err := trace.ReadFile(dir, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs := tr.Segments(4)
+		phases := tr.SegmentPhases(segs, 2)
+		tr.Close()
+		if len(phases) == 0 {
+			t.Fatalf("%s yields no phases", workload)
+		}
+		pos = segs[phases[0].Rep].Start.Pos
+	}
+	// The packed stream starts after the 40-byte file header.
+	off := int64(40 + pos)
 	f, err := os.OpenFile(trace.DiskPath(dir, p), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.WriteAt([]byte{0xFF}, 40+64); err != nil {
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, off); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -326,22 +355,25 @@ func replayPanel() []Config {
 // TestEngineConcurrentCorruptDropCountedOnce pins the corrupt-drop
 // accounting under concurrency: N configurations streaming one rotten
 // trace at once, each through its own Reader (monolithic) or its
-// segment workers' Readers (4 segments), all trip its checksum, but the
+// segment workers' Readers (planSmall), all trip its checksum, but the
 // trace is dropped (and counted) once, recaptured once, and every run's
-// statistics equal a clean engine's. Run under -race it also checks the
-// drop for tearing. The recaptured file must survive the late drops: a
-// fresh engine loads it from disk.
+// statistics equal a clean engine's under the same plan. Run under
+// -race it also checks the drop for tearing. The recaptured file must
+// survive the late drops: a fresh engine loads it from disk.
 func TestEngineConcurrentCorruptDropCountedOnce(t *testing.T) {
 	const workload = "micro.branchy"
 	cfgs := replayPanel()
 	if len(cfgs) < 3 {
 		t.Fatalf("panel has %d replay-capable configs; need >= 3", len(cfgs))
 	}
-	clean, err := NewEngine().RunMatrix(cfgs, []string{workload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, segments := range []int{0, 4} {
+	for _, leg := range []struct {
+		name string
+		plan func(*Engine)
+	}{{"monolithic", nil}, {"sampled", planSmall}} {
+		clean, err := newPlanned(leg.plan).RunMatrix(cfgs, []string{workload})
+		if err != nil {
+			t.Fatal(err)
+		}
 		dir := t.TempDir()
 		seed := NewEngine()
 		if err := seed.SetTraceDir(dir); err != nil {
@@ -350,12 +382,11 @@ func TestEngineConcurrentCorruptDropCountedOnce(t *testing.T) {
 		if _, err := seed.traceFor(workload); err != nil {
 			t.Fatal(err)
 		}
-		rotFirstChunk(t, dir, workload)
+		rotReadChunk(t, dir, workload, leg.plan != nil)
 
 		// Every run blocks on the one lazy disk load, then all replay the
 		// same rotten trace together.
-		eng := NewEngine()
-		eng.SetSegments(segments)
+		eng := newPlanned(leg.plan)
 		if err := eng.SetTraceDir(dir); err != nil {
 			t.Fatal(err)
 		}
@@ -372,14 +403,14 @@ func TestEngineConcurrentCorruptDropCountedOnce(t *testing.T) {
 		wg.Wait()
 		for i, cfg := range cfgs {
 			if errs[i] != nil {
-				t.Fatalf("segments=%d %s: %v", segments, cfg.Name, errs[i])
+				t.Fatalf("%s %s: %v", leg.name, cfg.Name, errs[i])
 			}
-			eqStats(t, fmt.Sprintf("segments=%d %s", segments, cfg.Name), got[i], clean[i][0])
+			eqStats(t, leg.name+" "+cfg.Name, got[i], clean[i][0])
 		}
 		ts := eng.TraceStats()
 		if ts.CorruptDropped != 1 || ts.DiskHits != 1 || ts.Captures != 1 {
-			t.Errorf("segments=%d: CorruptDropped=%d DiskHits=%d Captures=%d, want 1/1/1",
-				segments, ts.CorruptDropped, ts.DiskHits, ts.Captures)
+			t.Errorf("%s: CorruptDropped=%d DiskHits=%d Captures=%d, want 1/1/1",
+				leg.name, ts.CorruptDropped, ts.DiskHits, ts.Captures)
 		}
 		reload := NewEngine()
 		if err := reload.SetTraceDir(dir); err != nil {
@@ -389,7 +420,7 @@ func TestEngineConcurrentCorruptDropCountedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ts := reload.TraceStats(); ts.DiskHits != 1 || ts.Captures != 0 {
-			t.Errorf("segments=%d: recaptured trace not reloadable: %+v", segments, ts)
+			t.Errorf("%s: recaptured trace not reloadable: %+v", leg.name, ts)
 		}
 	}
 }
