@@ -25,22 +25,19 @@
 //	                    runs, machines and drive modes
 //	-cache-dir DIR      persist run results on disk across invocations
 //
-// Each workload is executed once per process and every simulation is
-// driven from the shared captured trace (replay), except wrong-path
-// configurations, which execute in lockstep; results are identical
-// either way:
-//
-//	-trace-dir DIR      persist captured traces on disk across invocations
-//
-// Phase-sampled simulation shards each trace into K segments, clusters
-// them into at most P phases by their basic-block vectors and times one
+// A full run executes its workload in lockstep with the timing model.
+// Phase-sampled simulation instead captures each workload's execution
+// trace once per process, shards it into K segments, clusters them into
+// at most P phases by their basic-block vectors and times one
 // representative per phase across CPUs, starting cold and discarding
 // its leading windows until IPC converges. The result is an estimate,
 // reported with error bars. The two flags go together; giving only one
-// is a usage error (exit 2):
+// is a usage error (exit 2). Wrong-path configurations always run in
+// full, in lockstep. Only phase-sampled runs read or write -trace-dir:
 //
 //	-segments K         cut each trace into K > 1 segments
 //	-phases P           time at most P > 0 phase representatives
+//	-trace-dir DIR      persist captured traces on disk across invocations
 //
 // Profiling flags for working on the simulator itself (perfbench/run.sh
 // is the repo's repeated, oracle-checked performance measurement):
@@ -77,7 +74,7 @@ var (
 	metrics    = flag.String("metrics-json", "", "write per-run metrics and cache statistics to this file as JSON")
 	metricsDet = flag.String("metrics-det", "", "write deterministic per-run metrics (stable order, host timings scrubbed) to this file as JSON")
 	cacheDir   = flag.String("cache-dir", "", "persist simulation results as JSON under this directory")
-	traceDir   = flag.String("trace-dir", "", "persist captured execution traces under this directory")
+	traceDir   = flag.String("trace-dir", "", "persist the execution traces of phase-sampled runs under this directory (other runs never read or write it)")
 	segments   = flag.Int("segments", 0, "phase-sample: cut each trace into this many segments (> 1, with -phases; 0 = monolithic)")
 	segPhases  = flag.Int("phases", 0, "phase-sample: time one representative of at most this many behavior clusters (> 0, with -segments; 0 = monolithic)")
 	cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
@@ -190,11 +187,11 @@ func setupObservability() (func() error, error) {
 				cs.Lookups(), cs.Hits, cs.Coalesced, cs.DiskHits, cs.Misses, cs.Uncacheable, cs.Saved())
 			ts := eng.TraceStats()
 			fmt.Fprintf(os.Stderr,
-				"cesweep: traces: %d captured, %d loaded from disk; %d replay runs, %d lockstep runs; %d steps executed, %d replayed\n",
-				ts.Captures, ts.DiskHits, ts.ReplayRuns, ts.LockstepRuns, ts.StepsExecuted, ts.StepsReplayed)
+				"cesweep: traces: %d captured, %d loaded from disk; %d sampled runs, %d lockstep runs; %d steps executed, %d replayed\n",
+				ts.Captures, ts.DiskHits, ts.SegmentRuns, ts.LockstepRuns, ts.StepsExecuted, ts.StepsReplayed)
 			fmt.Fprintf(os.Stderr,
-				"cesweep: trace bytes: %d on disk, %d resident; %d capture failures, %d corrupt traces dropped\n",
-				ts.TraceDiskBytes, ts.TraceResidentBytes, ts.CaptureFailures, ts.CorruptDropped)
+				"cesweep: trace bytes: %d on disk, %d resident; %d corrupt traces dropped\n",
+				ts.TraceDiskBytes, ts.TraceResidentBytes, ts.CorruptDropped)
 		}
 		if *metrics != "" {
 			dump := struct {

@@ -25,8 +25,8 @@
 // is cut into K segments and one representative per behavior cluster
 // (at most P) is timed, an estimate under its own run-cache key. The
 // two flags go together; giving only one is a usage error (exit 2).
-// Wrong-path configurations always execute in lockstep; every other run
-// replays its workload's trace.
+// Only phase-sampled runs read or write -trace-dir: every other run,
+// and every wrong-path configuration, executes in lockstep.
 //
 // A client that stalls while sending a request header is disconnected
 // after 5 s, and an idle keep-alive connection after 2 minutes; neither
@@ -69,7 +69,7 @@ const (
 var (
 	addr            = flag.String("addr", "localhost:8344", "listen address (host:port; :0 picks a free port)")
 	cacheDir        = flag.String("cache-dir", "", "persist run results under this directory (shared across daemons)")
-	traceDir        = flag.String("trace-dir", "", "persist execution traces under this directory (shared across daemons)")
+	traceDir        = flag.String("trace-dir", "", "persist the execution traces of phase-sampled runs under this directory (shared across daemons); other runs never read or write it")
 	cacheMax        = flag.Int("cache-max", 4096, "max run results held in memory, LRU over the disk tier (0 = unbounded)")
 	pprofAddr       = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled. Never exposed on the serving port")
 	segments        = flag.Int("segments", 0, "phase-sample: cut each trace into this many segments (> 1, with -phases; 0 = monolithic)")

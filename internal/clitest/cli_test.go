@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -282,18 +281,28 @@ func TestCesweepObservability(t *testing.T) {
 	}
 }
 
+// sampledFig13 returns the arguments of a verbose phase-sampled
+// Figure 13 sweep over the trace directory traces: only phase-sampled
+// runs read or write -trace-dir.
+func sampledFig13(traces string) []string {
+	return []string{"-fig", "13", "-segments", "8", "-phases", "4", "-v", "-trace-dir", traces}
+}
+
 // TestCesweepTraceDir exercises the trace pool's disk spillover end to
-// end: a cold run captures and persists one trace per workload, a warm
-// run reuses every file without re-executing, and corrupt or truncated
-// files are dropped and recaptured rather than trusted or fatal.
+// end: a cold phase-sampled run captures and persists one trace per
+// workload, a warm run reuses every file without re-executing, and
+// corrupt or truncated files are dropped and recaptured rather than
+// trusted or fatal.
 func TestCesweepTraceDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
 	traces := filepath.Join(t.TempDir(), "traces")
-	// Cold: Figure 13 runs seven workloads; each is captured once.
-	out := mustRun(t, "cesweep", "-fig", "13", "-v", "-trace-dir", traces)
-	if !strings.Contains(out, "7 captured, 0 loaded from disk") {
+	args := sampledFig13(traces)
+	// Cold: Figure 13 runs seven workloads; each is captured once, and
+	// all 14 runs are phase-sampled.
+	out := mustRun(t, "cesweep", args...)
+	if !strings.Contains(out, "7 captured, 0 loaded from disk; 14 sampled runs, 0 lockstep runs") {
 		t.Errorf("cold run did not capture every workload:\n%s", out)
 	}
 	files, err := filepath.Glob(filepath.Join(traces, "*.cetrace"))
@@ -302,7 +311,7 @@ func TestCesweepTraceDir(t *testing.T) {
 	}
 
 	// Warm: every trace is loaded, nothing is re-executed.
-	out = mustRun(t, "cesweep", "-fig", "13", "-v", "-trace-dir", traces)
+	out = mustRun(t, "cesweep", args...)
 	if !strings.Contains(out, "0 captured, 7 loaded from disk") {
 		t.Errorf("warm run did not reuse the traces:\n%s", out)
 	}
@@ -310,30 +319,29 @@ func TestCesweepTraceDir(t *testing.T) {
 		t.Errorf("warm run still executed instructions:\n%s", out)
 	}
 
-	// Damage two files: truncate one, flip a bit in another. Both must be
-	// detected, dropped and recaptured; the rest still load.
-	sort.Strings(files)
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(files[0], data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(files[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(files[1], data, 0o644); err != nil {
-		t.Fatal(err)
+	// Damage two files: flip a byte of compress's trace in a chunk a
+	// phase representative reads, and truncate another workload's.
+	// Both must be detected, dropped and recaptured; the rest still load.
+	rotted := rotRepChunk(t, traces, "compress", 8, 4)
+	for _, f := range files {
+		if f == rotted {
+			continue
+		}
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(f, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		break
 	}
 	// The truncated file fails at open and is recaptured up front. The
 	// flipped file opens fine — chunk checksums verify lazily, so the
 	// damage only surfaces mid-replay — and is then dropped and
 	// recaptured transparently: 2 captures, but 6 loads (the flipped
 	// file counted as a load before it was caught).
-	out = mustRun(t, "cesweep", "-fig", "13", "-v", "-trace-dir", traces)
+	out = mustRun(t, "cesweep", args...)
 	if !strings.Contains(out, "2 captured, 6 loaded from disk") {
 		t.Errorf("damaged traces not dropped and recaptured:\n%s", out)
 	}
@@ -342,10 +350,54 @@ func TestCesweepTraceDir(t *testing.T) {
 	}
 
 	// The recaptured files are whole again.
-	out = mustRun(t, "cesweep", "-fig", "13", "-v", "-trace-dir", traces)
+	out = mustRun(t, "cesweep", args...)
 	if !strings.Contains(out, "0 captured, 7 loaded from disk") {
 		t.Errorf("recaptured traces not reusable:\n%s", out)
 	}
+}
+
+// rotRepChunk flips one byte of workload's trace file in dir and
+// returns the file's path. Chunks are verified lazily, on load, so the
+// flip lands in a chunk a phase representative is certain to read: the
+// one holding the first representative's start under the plan of k
+// segments and at most phases phases.
+func rotRepChunk(t *testing.T, dir, workload string, k, phases int) string {
+	t.Helper()
+	w, err := prog.ByName(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.ReadFile(dir, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := tr.Segments(k)
+	reps := tr.SegmentPhases(segs, phases)
+	tr.Close()
+	if len(reps) == 0 {
+		t.Fatalf("%s yields no phases", workload)
+	}
+	// The packed stream starts after the 40-byte file header.
+	off := int64(40 + segs[reps[0].Rep].Start.Pos)
+	path := trace.DiskPath(dir, p)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestCesweepStaleTraceFormat: a hand-written v2 trace file at the
@@ -377,7 +429,8 @@ func TestCesweepStaleTraceFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out := mustRun(t, "cesweep", "-fig", "13", "-v", "-trace-dir", traces)
+	args := sampledFig13(traces)
+	out := mustRun(t, "cesweep", args...)
 	if !strings.Contains(out, "format v2 < v3; recapturing") {
 		t.Errorf("stale v2 trace not called out:\n%s", out)
 	}
@@ -385,7 +438,7 @@ func TestCesweepStaleTraceFormat(t *testing.T) {
 		t.Errorf("stale trace not recaptured:\n%s", out)
 	}
 	// The recapture left a current-format file behind.
-	out = mustRun(t, "cesweep", "-fig", "13", "-v", "-trace-dir", traces)
+	out = mustRun(t, "cesweep", args...)
 	if !strings.Contains(out, "0 captured, 7 loaded from disk") {
 		t.Errorf("recaptured trace not reusable:\n%s", out)
 	}
@@ -410,43 +463,7 @@ func TestCesweepSegmentedCorruptChunk(t *testing.T) {
 	damaged := filepath.Join(dir, "damaged.json")
 	plan := []string{"-fig", "13", "-segments", "8", "-phases", "4", "-trace-dir", traces}
 	mustRun(t, "cesweep", append(plan, "-metrics-det", clean)...)
-
-	// Chunks are verified lazily, on load, so the flip must land in a
-	// chunk some representative is certain to read: the one holding the
-	// first representative's start, under the same plan the sweep uses.
-	w, err := prog.ByName("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := w.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.ReadFile(traces, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := tr.Segments(8)
-	phases := tr.SegmentPhases(segs, 4)
-	tr.Close()
-	if len(phases) == 0 {
-		t.Fatal("compress yields no phases")
-	}
-	// The packed stream starts after the 40-byte file header.
-	off := int64(40 + segs[phases[0].Rep].Start.Pos)
-	f, err := os.OpenFile(trace.DiskPath(traces, p), os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]byte, 1)
-	if _, err := f.ReadAt(b, off); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0xFF
-	if _, err := f.WriteAt(b, off); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	rotRepChunk(t, traces, "compress", 8, 4)
 
 	out := mustRun(t, "cesweep", append(plan, "-v", "-metrics-det", damaged)...)
 	if !strings.Contains(out, "1 corrupt traces dropped") {
@@ -456,7 +473,7 @@ func TestCesweepSegmentedCorruptChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err = os.ReadFile(damaged)
+	b, err := os.ReadFile(damaged)
 	if err != nil {
 		t.Fatal(err)
 	}

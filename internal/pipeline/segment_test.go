@@ -78,64 +78,6 @@ func TestRunUntilCommittedMatchesRun(t *testing.T) {
 	eqDeterministic(t, "run-until-committed", got, want)
 }
 
-// TestSegmentStitchingExact is the package-level exactness differential
-// for SubStats and StitchStats: one replay snapshotted at every segment
-// boundary, its consecutive deltas stitched back together, must
-// reproduce the monolithic run bit for bit — every counter, every
-// histogram bucket.
-func TestSegmentStitchingExact(t *testing.T) {
-	tr := captureWorkload(t, "micro.branchy")
-	for _, mk := range []struct {
-		name string
-		c    Config
-	}{
-		{"window", cfg("window", 1, 0, window64)},
-		{"fifos", cfg("fifos", 1, 0, fifos8x8)},
-	} {
-		c := mk.c
-		c.PerfectBPred = false
-		sim, err := NewReplay(c, trace.NewReader(tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mono, err := sim.Run(50_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs := tr.Segments(4)
-		if len(segs) < 2 {
-			t.Fatalf("micro.branchy yielded %d segments, want ≥ 2", len(segs))
-		}
-		sim, err = NewReplay(c, trace.NewReader(tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev, err := sim.RunUntilCommitted(0, 50_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts := make([]Stats, len(segs))
-		for i, seg := range segs {
-			snap, err := sim.RunUntilCommitted(seg.End.Step, 50_000_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if parts[i], err = SubStats(snap, prev); err != nil {
-				t.Fatal(err)
-			}
-			if parts[i].Committed == 0 {
-				t.Fatalf("%s segment %d committed nothing", mk.name, i)
-			}
-			prev = snap
-		}
-		stitched, err := StitchStats(parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eqDeterministic(t, mk.name+" stitched", stitched, mono)
-	}
-}
-
 // TestSegmentAdaptiveWarmup pins the phase-sampled plan's warmup
 // contract: each segment discards at most min(cap, half the segment),
 // measures the rest of it to within one retire width at its closing

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"os"
 	"testing"
 
 	"repro/internal/emu"
@@ -42,24 +43,77 @@ func FuzzUnmarshal(f *testing.F) {
 			}
 			return
 		}
-		r := NewReader(tr)
-		defer r.Release()
-		for steps := uint64(0); ; steps++ {
-			_, err := r.Step()
-			if errors.Is(err, emu.ErrHalted) {
-				return
-			}
-			if err != nil {
-				if !errclass.IsCorrupt(err) {
-					t.Fatalf("Reader error at step %d not classified corrupt: %v", steps, err)
-				}
-				return
-			}
-			if steps > tr.Steps() {
-				t.Fatalf("Reader produced more than the trace's %d steps", tr.Steps())
-			}
-		}
+		replayToEnd(t, tr)
 	})
+}
+
+// FuzzReadFile is FuzzUnmarshal for the file-backed open: it writes
+// arbitrary bytes as p's trace file, opens it with ReadFile and, when
+// the file opens, replays the trace to its end through a Reader that
+// loads and verifies each chunk from the file. ReadFile parses the
+// header, trailer and footer itself (readFrom), so Unmarshal's fuzzing
+// does not cover it. Neither step may panic, and every error must
+// classify as corrupt. It is seeded from a real CaptureToDir file.
+func FuzzReadFile(f *testing.F) {
+	p := mustProgram(f, "micro.parallel")
+	seedDir := f.TempDir()
+	tr, err := CaptureToDir(p, maxInsts, seedDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	tr.Close()
+	data, err := os.ReadFile(DiskPath(seedDir, p))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data, false)
+	f.Add(data, true)
+	f.Add(data[:len(data)/2], true)
+	f.Add([]byte{}, false)
+	f.Fuzz(func(t *testing.T, data []byte, reseal bool) {
+		if reseal {
+			data = resealed(data)
+		}
+		// A directory per input: fuzz workers run in parallel, and
+		// ReadFile deletes a file it rejects.
+		dir := t.TempDir()
+		if err := os.WriteFile(DiskPath(dir, p), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := ReadFile(dir, p)
+		if err != nil {
+			if !errclass.IsCorrupt(err) {
+				t.Fatalf("ReadFile error not classified corrupt: %v", err)
+			}
+			return
+		}
+		defer tr.Close()
+		replayToEnd(t, tr)
+	})
+}
+
+// replayToEnd streams tr through a Reader until it halts or fails. A
+// failure must classify as corrupt, and the Reader may not produce more
+// records than the trace claims.
+func replayToEnd(t *testing.T, tr *Trace) {
+	t.Helper()
+	r := NewReader(tr)
+	defer r.Release()
+	for steps := uint64(0); ; steps++ {
+		_, err := r.Step()
+		if errors.Is(err, emu.ErrHalted) {
+			return
+		}
+		if err != nil {
+			if !errclass.IsCorrupt(err) {
+				t.Fatalf("Reader error at step %d not classified corrupt: %v", steps, err)
+			}
+			return
+		}
+		if steps > tr.Steps() {
+			t.Fatalf("Reader produced more than the trace's %d steps", tr.Steps())
+		}
+	}
 }
 
 // resealed returns a copy of data with the chunk checksums its footer

@@ -169,7 +169,7 @@ func runSegments(cfg Config, tr *trace.Trace, segs []trace.Segment, pick []int) 
 // (stats.WeightedMeanCI95) and the cycle estimate sums each phase's
 // instructions at its representative's IPC. ok=false (with a nil error)
 // means the trace yielded no phases — it has no BBV profile — and the
-// caller should replay it monolithically.
+// caller should run the workload in full, in lockstep.
 func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *simAttribution) (st Stats, ok bool, err error) {
 	segs := tr.Segments(plan.k)
 	phases := tr.SegmentPhases(segs, plan.phases)
@@ -222,7 +222,6 @@ func (e *Engine) runSegmented(cfg Config, tr *trace.Trace, plan segPlan, attr *s
 	sm.WarmupMeanSteps = float64(warmup) / float64(len(reports))
 	attr.segments = sm
 	e.traceMu.Lock()
-	e.tstats.ReplayRuns++
 	e.tstats.SegmentRuns++
 	e.tstats.SegmentsSimulated += len(parts)
 	e.tstats.StepsReplayed += st.EmuSteps

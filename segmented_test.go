@@ -30,8 +30,7 @@ func eqStats(t *testing.T, label string, got, want Stats) {
 
 // TestEnginePhaseSampledCounterAudit runs every pair at once on a cold
 // phase-sampled engine: each counter counts each event exactly once,
-// whatever the interleaving, and every run carries its segment metrics
-// and is marked replayed.
+// whatever the interleaving, and every run carries its segment metrics.
 func TestEnginePhaseSampledCounterAudit(t *testing.T) {
 	cfgs := []Config{BaselineConfig(), DependenceConfig()}
 	ws := []string{"micro.branchy", "compress"}
@@ -59,8 +58,8 @@ func TestEnginePhaseSampledCounterAudit(t *testing.T) {
 	}
 	ts := eng.TraceStats()
 	runs := len(cfgs) * len(ws)
-	if ts.SegmentRuns != runs || ts.ReplayRuns != runs {
-		t.Errorf("%d segment runs, %d replay runs, want %d each", ts.SegmentRuns, ts.ReplayRuns, runs)
+	if ts.SegmentRuns != runs || ts.LockstepRuns != 0 {
+		t.Errorf("%d segment runs, %d lockstep runs, want %d and 0", ts.SegmentRuns, ts.LockstepRuns, runs)
 	}
 	if ts.Captures != len(ws) {
 		t.Errorf("%d captures, want one per workload (%d)", ts.Captures, len(ws))
@@ -69,9 +68,6 @@ func TestEnginePhaseSampledCounterAudit(t *testing.T) {
 	for _, m := range eng.Metrics() {
 		if m.Segments == nil {
 			t.Fatalf("run %s/%s carries no segment metrics", m.Config, m.Workload)
-		}
-		if !m.Replayed {
-			t.Errorf("phase-sampled run %s/%s not marked replayed", m.Config, m.Workload)
 		}
 		simulated += m.Segments.Simulated
 	}
@@ -158,20 +154,27 @@ func planPhase(e *Engine) {
 	e.SetSegmentPhases(4)
 }
 
-// runStreamed runs workload on the baseline through a fresh engine
-// that keeps its traces in dir, under the segment plan (nil for a
-// monolithic run), and fails the test unless the trace was replayed
-// from disk with no packed bytes resident.
-func runStreamed(t *testing.T, dir, workload string, plan func(*Engine)) (Stats, RunMetrics) {
-	t.Helper()
-	eng := NewEngine()
-	if err := eng.SetTraceDir(dir); err != nil {
+// TestStreamBench runs a long workload streamed through a trace
+// directory under the phase-sampled plan: the trace is read from disk
+// with no packed bytes resident, the run keeps to 4 of 16 segments,
+// lands within a sane band of the monolithic IPC, and adaptive warmup
+// actually discards steps.
+func TestStreamBench(t *testing.T) {
+	const workload = "compress.big"
+	mono, err := Run(BaselineConfig(), workload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if plan != nil {
-		plan(eng)
+	truth := mono.IPC()
+	if mono.Cycles <= 0 || truth <= 0 {
+		t.Fatalf("monolithic side empty: %+v", mono)
 	}
-	st, m, err := eng.RunOne(BaselineConfig(), workload)
+	eng := NewEngine()
+	if err := eng.SetTraceDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	planPhase(eng)
+	_, m, err := eng.RunOne(BaselineConfig(), workload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,22 +182,6 @@ func runStreamed(t *testing.T, dir, workload string, plan func(*Engine)) (Stats,
 		t.Errorf("trace not streamed from disk: %d bytes on disk, %d resident",
 			ts.TraceDiskBytes, ts.TraceResidentBytes)
 	}
-	return st, m
-}
-
-// TestStreamBench runs a long workload streamed through a trace
-// directory under the phase-sampled plan: it keeps to 4 of 16 segments,
-// lands within a sane band of the monolithic IPC, and adaptive warmup
-// actually discards steps.
-func TestStreamBench(t *testing.T) {
-	const workload = "compress.big"
-	dir := t.TempDir()
-	mono, _ := runStreamed(t, dir, workload, nil)
-	truth := mono.IPC()
-	if mono.Cycles <= 0 || truth <= 0 {
-		t.Fatalf("monolithic side empty: %+v", mono)
-	}
-	_, m := runStreamed(t, dir, workload, planPhase)
 	sm := m.Segments
 	if sm == nil || sm.Segments != 16 || sm.Simulated < 1 || sm.Simulated > 4 {
 		t.Fatalf("broke its 4-of-16 segment budget: %+v", sm)

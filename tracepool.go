@@ -1,14 +1,12 @@
 package ce
 
-// The engine's trace pool: execute each workload once, time it under
-// every configuration. The functional behaviour of a workload is
-// configuration-independent, so the Engine captures one execution trace
-// per workload (single-flight, like the run cache) and drives every
-// replay-capable simulation from that shared read-only trace, through a
-// private trace.Reader, instead of a private lockstep emulator.
-// Wrong-path configurations, which must execute down mispredicted
-// paths, keep the lockstep machine; the differential harness in
-// internal/verify pins that both paths produce identical statistics.
+// The engine's trace pool: a phase-sampled run times a few segments of
+// its workload's execution trace, so the Engine captures one trace per
+// workload (single-flight, like the run cache) and every sampled run's
+// segment workers stream that shared read-only trace through private
+// trace.Readers. Full runs need no trace: they execute in lockstep
+// (Run), and wrong-path configurations, which must execute down
+// mispredicted paths, always do.
 
 import (
 	"errors"
@@ -19,24 +17,23 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/lease"
-	"repro/internal/pipeline"
 	"repro/internal/prog"
 	"repro/internal/trace"
 )
 
 // TraceStats counts the engine's trace-pool activity. It separates the
 // one-time capture cost (CaptureSeconds, CaptureAllocs, one functional
-// execution per workload) from the per-simulation replay cost that
+// execution per workload) from the per-simulation cost that
 // Stats.HostWallSeconds/HostAllocs report, and exposes the
 // executed-versus-replayed instruction balance a sweep achieves.
 type TraceStats struct {
 	// Captures is the number of workloads functionally executed to build
 	// a trace this process; DiskHits counts traces loaded from the trace
-	// directory instead.
+	// directory instead. Only phase-sampled runs capture or load traces.
 	Captures int `json:"captures"`
 	DiskHits int `json:"disk_hits"`
-	// ReplayRuns and LockstepRuns split fresh simulations by drive mode.
-	ReplayRuns   int `json:"replay_runs"`
+	// LockstepRuns counts fresh simulations that executed in lockstep:
+	// every run that was not phase-sampled.
 	LockstepRuns int `json:"lockstep_runs"`
 	// CaptureSeconds and CaptureAllocs are the wall time and heap
 	// allocations spent capturing traces — the one-time cost excluded
@@ -45,24 +42,17 @@ type TraceStats struct {
 	CaptureAllocs  uint64  `json:"capture_allocs"`
 	// StepsExecuted counts dynamic instructions resolved by functional
 	// execution (captures plus lockstep simulations); StepsReplayed
-	// counts those streamed from pre-captured traces.
+	// counts those the phase-sampled runs timed from captured traces.
 	StepsExecuted uint64 `json:"steps_executed"`
 	StepsReplayed uint64 `json:"steps_replayed"`
 	// LeaseWaits counts captures avoided by waiting out another
 	// process's capture lease on the shared trace directory
 	// (Engine.SetSharedStore); each is also counted in DiskHits.
 	LeaseWaits int `json:"lease_waits,omitempty"`
-	// SegmentRuns counts replay runs conducted phase-sampled
-	// (segmented.go); SegmentsSimulated totals the segments they timed.
+	// SegmentRuns counts fresh phase-sampled runs (segmented.go);
+	// SegmentsSimulated totals the segments they timed.
 	SegmentRuns       int `json:"segment_runs,omitempty"`
 	SegmentsSimulated int `json:"segments_simulated,omitempty"`
-	// CaptureFailures counts replay-capable simulations that fell back to
-	// lockstep because their workload's trace could not be captured or a
-	// replay simulator could not be built. The fallback is benign — the
-	// statistics are identical — but it silently forfeits the sweep's
-	// replay speedup, so each workload's first failure is logged with its
-	// cause and every occurrence is counted here.
-	CaptureFailures int `json:"capture_failures,omitempty"`
 	// CorruptDropped counts pooled traces dropped mid-replay after a
 	// chunk failed its checksum; each was invalidated on disk and
 	// recaptured once before the run retried.
@@ -73,10 +63,9 @@ type TraceStats struct {
 	// O(readers) chunk buffers resident. Snapshot at query time.
 	TraceDiskBytes     int64 `json:"trace_disk_bytes"`
 	TraceResidentBytes int64 `json:"trace_resident_bytes"`
-	// RecordsDecoded totals dynamic records decoded from packed streams:
-	// every replay run streams its trace through a private Reader, so a
-	// sweep decodes each trace once per configuration, plus each
-	// segment's warmup prefix under segmented replay.
+	// RecordsDecoded totals dynamic records decoded from packed streams
+	// by the segment workers' private Readers: every timed segment's
+	// records plus its warmup prefix.
 	RecordsDecoded uint64 `json:"records_decoded,omitempty"`
 	// SlabDecodes, SlabHits and SlabPeakBytes are always 0: the engine
 	// decodes into no shared slabs. They are kept only because the
@@ -88,7 +77,8 @@ type TraceStats struct {
 
 // traceEntry is one workload's slot in the pool: the first goroutine to
 // need the trace captures it while later ones wait on done (the same
-// single-flight shape as internal/runcache).
+// single-flight shape as internal/runcache). A failed capture leaves
+// the pool before done closes, so every completed slot holds a trace.
 type traceEntry struct {
 	done chan struct{}
 	tr   *trace.Trace
@@ -105,8 +95,8 @@ type traceEntry struct {
 // pool kept serving them, so the directory silently missed exactly the
 // workloads that had run first. On a directory change the pool is now
 // reconciled: completed captures are flushed to the new directory, and
-// failed or still-in-flight slots are dropped so their next consumer
-// retries against the new directory.
+// still-in-flight slots are dropped so their next consumer retries
+// against the new directory.
 func (e *Engine) SetTraceDir(dir string) error {
 	if err := trace.EnsureDir(dir); err != nil {
 		return err
@@ -121,10 +111,6 @@ func (e *Engine) SetTraceDir(dir string) error {
 	for w, ent := range e.traces {
 		select {
 		case <-ent.done:
-			if ent.err != nil || ent.tr == nil {
-				delete(e.traces, w)
-				continue
-			}
 			flush = append(flush, ent.tr)
 		default:
 			// In-flight capture racing the dir change: its waiters keep the
@@ -151,11 +137,9 @@ func (e *Engine) TraceStats() TraceStats {
 	for _, ent := range e.traces {
 		select {
 		case <-ent.done:
-			if ent.err == nil && ent.tr != nil {
-				d, r := ent.tr.Footprint()
-				ts.TraceDiskBytes += d
-				ts.TraceResidentBytes += r
-			}
+			d, r := ent.tr.Footprint()
+			ts.TraceDiskBytes += d
+			ts.TraceResidentBytes += r
 		default:
 		}
 	}
@@ -163,8 +147,8 @@ func (e *Engine) TraceStats() TraceStats {
 }
 
 // warnOnce writes one diagnostic line to stderr per key for the
-// engine's lifetime, so a sweep that falls back ten thousand times
-// complains exactly once per workload and cause.
+// engine's lifetime, so a sweep that meets the same damaged trace ten
+// thousand times complains exactly once per workload and cause.
 func (e *Engine) warnOnce(key, format string, args ...any) {
 	e.traceMu.Lock()
 	if e.traceWarned[key] {
@@ -179,14 +163,10 @@ func (e *Engine) warnOnce(key, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "ce: "+format+"\n", args...)
 }
 
-// traceFor returns workload's shared trace, capturing it exactly once
-// per process however many configurations and goroutines ask.
-func (e *Engine) traceFor(workload string) (*trace.Trace, error) {
-	tr, _, err := e.traceForOwned(workload)
-	return tr, err
-}
-
-// traceForOwned is traceFor plus ownership: owned is true for the one
+// traceForOwned returns workload's shared trace, capturing it exactly
+// once per process however many configurations and goroutines ask. A
+// failed capture is delivered to the callers already waiting on it and
+// then forgotten, so the next caller retries. owned is true for the one
 // caller that performed the capture (or disk load), false for callers
 // that merely waited on it. Attribution needs the distinction — every
 // concurrent run of a workload blocks on the same capture, but the cost
@@ -208,6 +188,13 @@ func (e *Engine) traceForOwned(workload string) (tr *trace.Trace, owned bool, er
 	dir, shared := e.traceDir, e.traceShared
 	e.traceMu.Unlock()
 	ent.tr, ent.err = e.captureTrace(workload, dir, shared)
+	if ent.err != nil {
+		e.traceMu.Lock()
+		if e.traces[workload] == ent {
+			delete(e.traces, workload)
+		}
+		e.traceMu.Unlock()
+	}
 	close(ent.done)
 	return ent.tr, true, ent.err
 }
@@ -319,7 +306,7 @@ func (e *Engine) awaitCaptureLease(dir string, p *isa.Program) (*lease.Lease, *t
 // simAttribution carries cost attribution out of the run cache's compute
 // closure: how much of the observed wall time was the workload's
 // one-time trace capture (shared, reported separately) rather than this
-// simulation's own cost, and which drive mode ran.
+// simulation's own cost, and how a phase-sampled run was conducted.
 type simAttribution struct {
 	captureSeconds float64
 	// captureWait is time spent blocked on a capture some *other* run
@@ -327,29 +314,21 @@ type simAttribution struct {
 	// wall time like captureSeconds, but kept apart so summing
 	// CaptureSeconds across a sweep's runs counts each capture once.
 	captureWait float64
-	replayed    bool
 	// segments is non-nil when the run was phase-sampled.
 	segments *SegmentMetrics
 }
 
-// runSim performs one fresh simulation for the engine. The drive mode
-// follows from the configuration and the segment plan alone: a
-// wrong-path configuration, which must execute down mispredicted
-// paths, runs lockstep; every other configuration replays its
-// workload's trace, phase-sampled under a sampled plan and
-// monolithically otherwise. A capture failure also falls back to
-// lockstep; the statistics are identical, only the host cost differs.
-// The fallback is counted (TraceStats.CaptureFailures) and its first
-// cause per workload logged, so a sweep silently losing its replay
-// speedup is visible in -v output and the metrics dumps.
+// runSim performs one fresh simulation for the engine. A run is
+// phase-sampled when the segment plan samples, the configuration is
+// not wrong-path (a trace holds only the committed path) and its
+// workload's trace yields phases; every other run executes in lockstep
+// (Run). Only sampled runs capture or load a trace.
 func (e *Engine) runSim(cfg Config, workload string, attr *simAttribution) (Stats, error) {
-	if !cfg.WrongPathExecution {
-		st, ok, err := e.runReplay(cfg, workload, attr)
+	if plan := e.segmentPlan(); plan.sampled() && !cfg.WrongPathExecution {
+		st, ok, err := e.runSampled(cfg, workload, plan, attr)
 		if ok || err != nil {
 			return st, err
 		}
-		// Capture failed: fall through to lockstep, which reproduces (and
-		// properly attributes) whatever went wrong with the workload.
 	}
 	st, err := Run(cfg, workload)
 	if err != nil {
@@ -362,13 +341,17 @@ func (e *Engine) runSim(cfg Config, workload string, attr *simAttribution) (Stat
 	return st, nil
 }
 
-// runReplay attempts one replay-driven simulation. ok=false (with a nil
-// error) means the trace could not be obtained and the caller should
-// fall back to lockstep. A trace whose chunk fails its checksum
-// mid-replay — a torn write or storage fault in the trace directory —
-// is dropped from the pool, invalidated on disk, and recaptured once
-// before the run retries; a second corruption surfaces as an error.
-func (e *Engine) runReplay(cfg Config, workload string, attr *simAttribution) (Stats, bool, error) {
+// runSampled performs one phase-sampled simulation over workload's
+// pooled trace. ok=false (with a nil error) means the trace yielded no
+// phases and the caller should run the workload in full. A failed
+// capture or load is returned, never answered with an exact run: that
+// would be cached under the sampled plan's key. The trace directory's
+// I/O errors are transient, so the run cache retries them rather than
+// memoizing them. A trace whose chunk fails its checksum mid-replay —
+// a torn write or storage fault in the trace directory — is dropped
+// from the pool, invalidated on disk, and recaptured once before the
+// run retries; a second corruption surfaces as an error.
+func (e *Engine) runSampled(cfg Config, workload string, plan segPlan, attr *simAttribution) (Stats, bool, error) {
 	for attempt := 0; ; attempt++ {
 		waitStart := time.Now()
 		tr, owned, err := e.traceForOwned(workload)
@@ -378,71 +361,19 @@ func (e *Engine) runReplay(cfg Config, workload string, attr *simAttribution) (S
 			attr.captureWait += time.Since(waitStart).Seconds()
 		}
 		if err != nil {
-			e.noteCaptureFailure(workload, err)
-			return Stats{}, false, nil
+			return Stats{}, false, err
 		}
-		retry := func(err error) bool {
-			if attempt > 0 || !errors.Is(err, trace.ErrCorruptChunk) {
-				return false
-			}
+		st, ok, err := e.runSegmented(cfg, tr, plan, attr)
+		if err != nil && attempt == 0 && errors.Is(err, trace.ErrCorruptChunk) {
 			e.dropCorrupt(workload, tr)
-			return true
+			continue
 		}
-		if plan := e.segmentPlan(); plan.sampled() {
-			// Phase-sampled drive. Errors other than chunk corruption
-			// surface rather than fall back: a failing segment run means a
-			// real defect (the seam is differentially verified), not a
-			// workload property. A trace with no phases replays
-			// monolithically below.
-			st, ok, err := e.runSegmented(cfg, tr, plan, attr)
-			if err != nil {
-				if retry(err) {
-					continue
-				}
-				return st, false, err
-			}
-			if ok {
-				attr.replayed = true
-				return st, true, nil
-			}
-		}
-		// Monolithic replay: a private streaming Reader.
-		rd := trace.NewReader(tr)
-		sim, err := pipeline.NewReplay(cfg, rd)
-		if err != nil {
-			rd.Release()
-			e.noteCaptureFailure(workload, err)
-			return Stats{}, false, nil
-		}
-		st, err := sim.Run(maxCycles)
-		rd.Release()
-		if err != nil {
-			if retry(err) {
-				continue
-			}
-			return st, false, err
-		}
-		attr.replayed = true
-		e.traceMu.Lock()
-		e.tstats.ReplayRuns++
-		e.tstats.StepsReplayed += st.EmuSteps
-		e.tstats.RecordsDecoded += st.EmuSteps
-		e.traceMu.Unlock()
-		return st, true, nil
+		return st, ok, err
 	}
 }
 
-// noteCaptureFailure counts a lockstep fallback and logs the workload's
-// first failure with its cause.
-func (e *Engine) noteCaptureFailure(workload string, err error) {
-	e.traceMu.Lock()
-	e.tstats.CaptureFailures++
-	e.traceMu.Unlock()
-	e.warnOnce("capture:"+workload, "trace %s: capture failed (%v); falling back to lockstep execution", workload, err)
-}
-
 // dropCorrupt evicts workload's pooled trace after a chunk checksum
-// failure, deleting its backing file so the next traceFor call
+// failure, deleting its backing file so the next traceForOwned call
 // recaptures rather than reloading the same bad bytes. Concurrent runs
 // over one bad trace all land here; only the call that evicts tr counts
 // and invalidates it. The file is removed before the slot frees, so a
